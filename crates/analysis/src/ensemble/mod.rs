@@ -36,10 +36,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use goc_game::{gen::random_config, CoinId, Configuration, Game, MassTracker, Snapshot};
-use goc_learning::{
-    run_incremental, run_incremental_from, run_incremental_with_churn, run_with_churn, ChurnPlan,
-    LearningOptions, LearningOutcome, SchedulerKind,
-};
+use goc_learning::{ChurnPlan, Dynamics, SchedulerKind};
 use goc_sim::fixtures::{scale_churn_base, scale_class_game};
 use goc_sim::{churn_timeline, churn_universe, stride_deltas, ChurnSpec, ScenarioSpec};
 
@@ -66,14 +63,14 @@ const CENSUS_ROWS: usize = 12;
 /// population, each replica seeded from `seed` by
 /// [`executor::replica_seed`].
 ///
-/// * `scheduler: None` drives the scheduler-free
-///   [`goc_learning::run_incremental`] loop (the fast path for large
-///   populations); `Some(kind)` drives [`goc_learning::run`]'s
-///   incremental protocol with that kind, seeded per replica.
+/// * Every replica is one [`goc_learning::Dynamics`] run.
+///   `scheduler: None` lets the tracker's own group round-robin pick
+///   (the fast path for large populations); `Some(kind)` lets that
+///   kind pick through the incremental protocol, seeded per replica.
 /// * `churn: Some(spec)` lowers the fixture cohort scenario plus this
 ///   churn plan to a per-replica delta stream
-///   ([`goc_sim::churn_universe`]); replicas then run
-///   `run[_incremental]_with_churn`. The plan follows the fixture
+///   ([`goc_sim::churn_universe`]) that the replica's run interleaves
+///   with its better-response steps. The plan follows the fixture
 ///   shape: coin 2 is the launchable `upstart` chain
 ///   (see [`goc_sim::fixtures::scale_churn_base`]).
 /// * Without churn, replicas start from an independent uniformly random
@@ -373,105 +370,85 @@ fn replica_with(
         replica: index,
         error,
     };
-    let options = LearningOptions::default();
     let clock = Instant::now();
-    let (outcome, key, potential, welfare) = match &spec.churn {
+    // Every replica is one `Dynamics` run; the cases differ only in the
+    // game, the starting state and the churn plan they hand it.
+    let (built_game, built_universe, random_start);
+    let (mut tracker, mut start, mut plan) = (None, None, None);
+    let game: &Game = match &spec.churn {
         None => {
-            let built;
             let game = match shared {
                 Some(snapshot) => snapshot.game(),
                 None => {
-                    built = scale_class_game(spec.miners);
-                    &built
+                    built_game = scale_class_game(spec.miners);
+                    &built_game
                 }
             };
             let mut rng = SmallRng::seed_from_u64(seed);
-            let start = random_config(&mut rng, game.system());
-            let outcome = match (spec.scheduler, shared) {
+            random_start = random_config(&mut rng, game.system());
+            match (spec.scheduler, shared) {
                 (None, Some(snapshot)) => {
-                    let tracker = {
-                        let _fork =
-                            lane.map(|l| l.span(TraceEventKind::SnapshotFork, index as u64));
-                        snapshot.fork_at(&start).map_err(|e| fail(e.to_string()))?
-                    };
-                    run_incremental_from(tracker, options, &ChurnPlan::default(), None)
-                        .map_err(|e| fail(e.to_string()))?
+                    let _fork = lane.map(|l| l.span(TraceEventKind::SnapshotFork, index as u64));
+                    let forked = snapshot.fork_at(&random_start);
+                    tracker = Some(forked.map_err(|e| fail(e.to_string()))?);
                 }
-                (None, None) => {
-                    run_incremental(game, &start, options).map_err(|e| fail(e.to_string()))?
-                }
-                (Some(kind), _) => {
-                    let mut sched = kind.build(seed);
-                    goc_learning::run(game, &start, sched.as_mut(), options)
-                        .map_err(|e| fail(e.to_string()))?
-                }
-            };
-            let (key, potential, welfare) = reduce_state(game, &outcome.final_config, None, None);
-            (outcome, key, potential, welfare)
+                _ => start = Some(&random_start),
+            }
+            game
         }
         Some(churn) => {
             let scenario = churn_scenario(spec, churn, seed);
-            let built;
-            let (outcome, game): (LearningOutcome, &Game) = match (spec.scheduler, shared) {
+            match (spec.scheduler, shared) {
                 (None, Some(snapshot)) => {
                     // The universe is seed-invariant; only the timeline
                     // varies per replica. Re-lower it and replay against
                     // an exact fork of the shared time-zero tracker.
                     let deltas = churn_timeline(&scenario).map_err(|e| fail(e.to_string()))?;
-                    let plan = ChurnPlan::with_events(
+                    plan = Some(ChurnPlan::with_events(
                         Some(snapshot.miner_activity().to_vec()),
                         Some(snapshot.coin_activity().to_vec()),
                         stride_deltas(&deltas, spec.miners),
-                    );
-                    let forked = {
-                        let _fork =
-                            lane.map(|l| l.span(TraceEventKind::SnapshotFork, index as u64));
-                        snapshot.fork()
-                    };
-                    let outcome = run_incremental_from(forked, options, &plan, None)
-                        .map_err(|e| fail(e.to_string()))?;
-                    (outcome, snapshot.game())
+                    ));
+                    let _fork = lane.map(|l| l.span(TraceEventKind::SnapshotFork, index as u64));
+                    tracker = Some(snapshot.fork());
+                    snapshot.game()
                 }
-                (scheduler, _) => {
-                    built = churn_universe(&scenario, CHURN_RESOLUTION)
+                _ => {
+                    built_universe = churn_universe(&scenario, CHURN_RESOLUTION)
                         .map_err(|e| fail(e.to_string()))?;
-                    let plan = ChurnPlan::with_events(
-                        Some(built.miner_active.clone()),
-                        Some(built.coin_active.clone()),
-                        built.step_deltas(spec.miners),
-                    );
-                    let outcome = match scheduler {
-                        None => {
-                            run_incremental_with_churn(&built.game, &built.start, options, &plan)
-                        }
-                        Some(kind) => {
-                            let mut sched = kind.build(seed);
-                            run_with_churn(
-                                &built.game,
-                                &built.start,
-                                sched.as_mut(),
-                                options,
-                                &plan,
-                            )
-                        }
-                    }
-                    .map_err(|e| fail(e.to_string()))?;
-                    (outcome, &built.game)
+                    plan = Some(ChurnPlan::with_events(
+                        Some(built_universe.miner_active.clone()),
+                        Some(built_universe.coin_active.clone()),
+                        built_universe.step_deltas(spec.miners),
+                    ));
+                    start = Some(&built_universe.start);
+                    &built_universe.game
                 }
-            };
-            let (miner_active, coin_active) = outcome
-                .final_activity
-                .clone()
-                .expect("churn runs report activity");
-            let (key, potential, welfare) = reduce_state(
-                game,
-                &outcome.final_config,
-                Some(&miner_active),
-                Some(&coin_active),
-            );
-            (outcome, key, potential, welfare)
+            }
         }
     };
+    let mut sched = spec.scheduler.map(|kind| kind.build(seed));
+    let mut dynamics = Dynamics::new(game);
+    if let Some(tracker) = tracker {
+        dynamics = dynamics.from_tracker(tracker);
+    }
+    if let Some(start) = start {
+        dynamics = dynamics.start(start);
+    }
+    if let Some(plan) = &plan {
+        dynamics = dynamics.churn(plan);
+    }
+    if let Some(sched) = sched.as_mut() {
+        dynamics = dynamics.scheduler(sched.as_mut());
+    }
+    let outcome = dynamics.run().map_err(|e| fail(e.to_string()))?;
+    let activity = outcome.final_activity.as_ref();
+    let (key, potential, welfare) = reduce_state(
+        game,
+        &outcome.final_config,
+        activity.map(|(miners, _)| miners.as_slice()),
+        activity.map(|(_, coins)| coins.as_slice()),
+    );
     Ok(ReplicaRecord {
         replica: index,
         seed,

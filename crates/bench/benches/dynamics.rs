@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use goc_game::gen::{GameSpec, PowerDist, RewardDist};
 use goc_game::{CoinId, Configuration, Game, MassTracker, MoveSource};
-use goc_learning::{run, run_incremental, LearningOptions, SchedulerKind};
+use goc_learning::{Dynamics, SchedulerKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -55,7 +55,10 @@ fn bench_convergence(c: &mut Criterion) {
                 |b, ()| {
                     b.iter(|| {
                         let mut sched = kind.build(5);
-                        run(&game, &start, sched.as_mut(), LearningOptions::default())
+                        Dynamics::new(&game)
+                            .start(&start)
+                            .scheduler(sched.as_mut())
+                            .run()
                             .expect("legal scheduler")
                     });
                 },
@@ -84,7 +87,9 @@ fn bench_incremental_converge(c: &mut Criterion) {
             &(),
             |b, ()| {
                 b.iter(|| {
-                    let outcome = run_incremental(&game, &start, LearningOptions::default())
+                    let outcome = Dynamics::new(&game)
+                        .start(&start)
+                        .run()
                         .expect("incremental dynamics");
                     assert!(outcome.converged);
                     outcome.steps
@@ -186,13 +191,11 @@ fn bench_churn_converge(c: &mut Criterion) {
             &(),
             |b, ()| {
                 b.iter(|| {
-                    let outcome = goc_learning::run_incremental_with_churn(
-                        &universe.game,
-                        &universe.start,
-                        LearningOptions::default(),
-                        &plan,
-                    )
-                    .expect("churn dynamics");
+                    let outcome = Dynamics::new(&universe.game)
+                        .start(&universe.start)
+                        .churn(&plan)
+                        .run()
+                        .expect("churn dynamics");
                     assert!(outcome.converged);
                     outcome.steps + outcome.churn_applied
                 });
@@ -239,7 +242,10 @@ fn bench_scheduler_converge(c: &mut Criterion) {
             |b, ()| {
                 b.iter(|| {
                     let mut sched = kind.build(5);
-                    let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default())
+                    let outcome = Dynamics::new(&game)
+                        .start(&start)
+                        .scheduler(sched.as_mut())
+                        .run()
                         .expect("bundled schedulers are legal");
                     assert!(outcome.converged);
                     outcome.steps

@@ -4,7 +4,8 @@
 //! the large-population engine and writes them as machine-readable JSON
 //! (`BENCH_10.json`):
 //!
-//! * **dynamics steps/sec** — `goc_learning::run_incremental` converging
+//! * **dynamics steps/sec** — a scheduler-free `goc_learning::Dynamics`
+//!   run converging
 //!   a 100k-miner, 8-hashrate-class, 3-coin game from the all-on-c0
 //!   start (best of three runs);
 //! * **sim events/sec** — a 100k-rig population aggregated into 8
@@ -12,8 +13,9 @@
 //!   (long enough that the timed window is ~100 ms, not timer noise);
 //! * **per-scheduler steps/sec** — every `SchedulerKind` converging the
 //!   same 100k-miner game through the incremental scheduler protocol
-//!   (`run` over a `MoveSource`; best of two runs);
-//! * **churn (steps+deltas)/sec** — `run_incremental_with_churn`
+//!   (`Dynamics` with a scheduler, over a `MoveSource`; best of two
+//!   runs);
+//! * **churn (steps+deltas)/sec** — a scheduler-free `Dynamics` run
 //!   absorbing the shared churn fixture (10% population turnover, one
 //!   coin launch, one retirement) on the 100k-miner universe (best of
 //!   two runs);
@@ -72,10 +74,7 @@ use std::time::Instant;
 
 use goc_analysis::ensemble::{run as run_ensemble, EnsembleSpec};
 use goc_game::{CoinId, Configuration, MassTracker, Snapshot};
-use goc_learning::{
-    run, run_incremental, run_incremental_with_churn, ChurnPlan, Dynamics, DynamicsTelemetry,
-    DynamicsTracing, LearningOptions, SchedulerKind,
-};
+use goc_learning::{ChurnPlan, Dynamics, DynamicsTelemetry, DynamicsTracing, SchedulerKind};
 use goc_proto::{Client, ReportPayload, Request, Response};
 use goc_server::{EnsembleOnlyBackend, Server, ServerConfig};
 use goc_sim::fixtures::{scale_churn_scenario, scale_class_game, scale_cohort_scenario};
@@ -209,8 +208,7 @@ fn dynamics_baseline(n: usize, repeats: usize) -> LayerBaseline {
     let mut steps = 0usize;
     for _ in 0..repeats {
         let clock = Instant::now();
-        let outcome =
-            run_incremental(&game, &start, LearningOptions::default()).expect("converges");
+        let outcome = Dynamics::new(&game).start(&start).run().expect("converges");
         assert!(outcome.converged, "dynamics did not converge");
         best = best.min(clock.elapsed().as_secs_f64());
         steps = outcome.steps;
@@ -254,7 +252,10 @@ fn scheduler_baseline(kind: SchedulerKind, n: usize, repeats: usize) -> Schedule
     for rep in 0..repeats {
         let mut sched = kind.build(5);
         let clock = Instant::now();
-        let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default())
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(sched.as_mut())
+            .run()
             .expect("bundled schedulers are legal");
         assert!(outcome.converged, "{kind} did not converge at rep {rep}");
         best = best.min(clock.elapsed().as_secs_f64());
@@ -292,13 +293,11 @@ fn churn_baseline(n: usize, repeats: usize) -> LayerBaseline {
     let mut work = 0usize;
     for _ in 0..repeats {
         let clock = Instant::now();
-        let outcome = run_incremental_with_churn(
-            &universe.game,
-            &universe.start,
-            LearningOptions::default(),
-            &plan,
-        )
-        .expect("churn dynamics converge");
+        let outcome = Dynamics::new(&universe.game)
+            .start(&universe.start)
+            .churn(&plan)
+            .run()
+            .expect("churn dynamics converge");
         assert!(outcome.converged, "churn dynamics did not converge");
         best = best.min(clock.elapsed().as_secs_f64());
         work = outcome.steps + outcome.churn_applied;
@@ -313,7 +312,7 @@ fn churn_baseline(n: usize, repeats: usize) -> LayerBaseline {
 
 fn ensemble_baseline(n: usize, replicas: usize, repeats: usize) -> LayerBaseline {
     // The ensemble engine's own workload: `replicas` deterministic
-    // Monte-Carlo replicas of `run_incremental` over the scale fixture,
+    // Monte-Carlo replicas of the scheduler-free dynamics over the scale fixture,
     // random start each, on the work-stealing executor at a fixed
     // thread count (`work` = replicas, so `per_sec` is replicas/sec).
     let spec = EnsembleSpec::new(n, replicas, 9);

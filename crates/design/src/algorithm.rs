@@ -2,8 +2,8 @@
 //! learning from `s0` to `sf` (paper §5), with optional verification of
 //! Lemma 1's Ψ invariants and Theorem 2's Φ progress measure.
 
-use goc_game::{Configuration, Game};
-use goc_learning::{run, LearningOptions, Scheduler};
+use goc_game::{Configuration, Game, Move};
+use goc_learning::{Dynamics, LearningOptions, Scheduler};
 
 use crate::error::DesignError;
 use crate::rewards::{h1, hi, iteration_cost};
@@ -162,7 +162,11 @@ pub fn design(
                     options,
                 )?
             } else {
-                run(&design_game, &s, scheduler, options.learning)?
+                Dynamics::new(&design_game)
+                    .start(&s)
+                    .scheduler(scheduler)
+                    .options(options.learning)
+                    .run()?
             };
             if !outcome.converged {
                 return Err(DesignError::LearningDidNotConverge {
@@ -209,13 +213,13 @@ fn run_verified(
     options: DesignOptions,
 ) -> Result<goc_learning::LearningOutcome, DesignError> {
     let mut checker = PsiChecker::new(problem, stage, start)?;
-    let outcome = goc_learning::run_with_observer(
-        design_game,
-        start,
-        scheduler,
-        options.learning,
-        |config, mv| checker.observe(config, mv),
-    )?;
+    let mut observe = |config: &Configuration, mv: Move| checker.observe(config, mv);
+    let outcome = Dynamics::new(design_game)
+        .start(start)
+        .scheduler(scheduler)
+        .options(options.learning)
+        .instrument(&mut observe)
+        .run()?;
     if let Some(what) = checker.into_violation() {
         return Err(DesignError::InvariantViolated {
             stage,

@@ -11,7 +11,7 @@
 //! staged schedules make the learning outcome unique.
 
 use goc_game::{CoinId, Configuration, Ratio, Rewards};
-use goc_learning::{run, LearningOptions, Scheduler};
+use goc_learning::{Dynamics, LearningOptions, Scheduler};
 
 use crate::error::DesignError;
 use crate::rewards::iteration_cost;
@@ -68,7 +68,11 @@ pub fn naive_design(
     let cost = iteration_cost(game.rewards(), &designed).to_f64();
     let boosted_game = game.with_rewards(designed)?;
 
-    let boost_phase = run(&boosted_game, problem.initial(), scheduler, options)?;
+    let boost_phase = Dynamics::new(&boosted_game)
+        .start(problem.initial())
+        .scheduler(scheduler)
+        .options(options)
+        .run()?;
     if !boost_phase.converged {
         return Err(DesignError::LearningDidNotConverge {
             stage: 1,
@@ -77,7 +81,11 @@ pub fn naive_design(
     }
     // Revert to organic rewards: the reached configuration need not be
     // stable there, so learning continues.
-    let revert_phase = run(game, &boost_phase.final_config, scheduler, options)?;
+    let revert_phase = Dynamics::new(game)
+        .start(&boost_phase.final_config)
+        .scheduler(scheduler)
+        .options(options)
+        .run()?;
     if !revert_phase.converged {
         return Err(DesignError::LearningDidNotConverge {
             stage: 1,

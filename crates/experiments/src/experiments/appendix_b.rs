@@ -9,7 +9,7 @@
 
 use goc_analysis::{RunReport, Table};
 use goc_game::gen::{GameSpec, PowerDist, RewardDist};
-use goc_game::{potential, Extended};
+use goc_game::{potential, Configuration, Extended, Move};
 use goc_learning::{Dynamics, SchedulerKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -70,7 +70,7 @@ impl Experiment for AppendixB {
                     let start = goc_game::gen::random_config(&mut rng, game.system());
                     let mut last = potential::symmetric_potential(&game, &start);
                     let mut sched = kind.build(seed);
-                    let mut observe = |config: &_, _| {
+                    let mut observe = |config: &Configuration, _: Move| {
                         let now = potential::symmetric_potential(&game, config);
                         monotone &= decreased(last, now);
                         last = now;
@@ -78,7 +78,7 @@ impl Experiment for AppendixB {
                     let outcome = Dynamics::new(&game)
                         .start(&start)
                         .scheduler(sched.as_mut())
-                        .observer(&mut observe)
+                        .instrument(&mut observe)
                         .run()
                         .expect("bundled schedulers are legal");
                     all_converged &= outcome.converged;

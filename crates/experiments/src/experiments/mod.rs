@@ -1,10 +1,8 @@
 //! The registered experiments, one module per paper artifact.
 //!
 //! Each module exposes a unit struct implementing
-//! [`crate::Experiment`]; the construction logic that used to live in
-//! the per-experiment binaries now builds a structured
-//! [`goc_analysis::RunReport`] here, and the binaries are thin wrappers
-//! over [`crate::run_bin`].
+//! [`crate::Experiment`] that builds a structured
+//! [`goc_analysis::RunReport`]; `goc run <name>` drives it.
 
 pub mod ablation;
 pub mod alg2;

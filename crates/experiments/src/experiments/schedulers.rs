@@ -17,9 +17,9 @@
 //!   pick equals the eager [`pick_with`](goc_learning::Scheduler)
 //!   pick at *every step* of the trajectory (the property suite pins
 //!   the same on random games);
-//! * **cross-engine agreement**: `run` under round-robin and the
-//!   scheduler-free `run_incremental` land on configurations with
-//!   identical coin masses;
+//! * **cross-finder agreement**: a [`Dynamics`] run under round-robin
+//!   and a scheduler-free one (the tracker's own group round-robin) land
+//!   on configurations with identical coin masses;
 //! * **wall clock**: the heaviest kind stays within budget at the
 //!   largest population.
 //!
@@ -196,7 +196,8 @@ impl Experiment for Schedulers {
         );
 
         // -------------------------------------------------------------
-        // Cross-engine agreement: run(round-robin) vs run_incremental
+        // Cross-finder agreement: round-robin scheduler vs the tracker's
+        // own group round-robin
         // -------------------------------------------------------------
         let n = ctx.scale(100_000, 10_000);
         let game = scale_class_game(n);

@@ -4,9 +4,7 @@
 //! [`Experiment`]: a named unit that takes a [`RunContext`] and returns
 //! a structured [`RunReport`] (tables, charts, pass/fail checks, CSV
 //! artifacts). [`registry`] lists them all; the `goc` CLI drives them
-//! (`goc list`, `goc run <name> [--json]`, `goc sweep --spec FILE`), and
-//! the historical one-binary-per-experiment entry points in `src/bin/`
-//! are thin wrappers over [`run_bin`].
+//! (`goc list`, `goc run <name> [--json]`, `goc sweep --spec FILE`).
 //!
 //! | name | paper artifact |
 //! |------|----------------|
@@ -45,7 +43,6 @@
 #![warn(rust_2018_idioms)]
 
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
 use goc_analysis::{parallel_map, RunReport};
 use serde::{Deserialize, Serialize};
@@ -241,26 +238,6 @@ pub fn sweep(spec: &SweepSpec, threads: usize) -> Result<Vec<RunReport>, String>
         };
         find(&run.experiment).expect("validated above").run(&ctx)
     }))
-}
-
-/// The shared `main` of the thin `src/bin/*` wrappers: runs the named
-/// experiment with the default context, prints the ASCII report, writes
-/// its CSV artifacts to `results/`, and exits nonzero if a check failed.
-pub fn run_bin(name: &str) -> ExitCode {
-    let Some(experiment) = find(name) else {
-        eprintln!("error: unknown experiment `{name}`");
-        return ExitCode::FAILURE;
-    };
-    let report = experiment.run(&RunContext::default());
-    print!("{}", report.render_ascii());
-    for artifact in &report.artifacts {
-        write_results(&artifact.name, &artifact.contents);
-    }
-    if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// Directory where experiment CSVs are written (`results/` under the

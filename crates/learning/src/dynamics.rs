@@ -2,21 +2,22 @@
 //!
 //! A *better-response learning* from `s` (paper §2) is a sequence of
 //! individual improvement steps that either is infinite or ends in a
-//! stable configuration. Theorem 1 shows the infinite case cannot happen;
-//! [`run`] executes the sequence for any [`Scheduler`] and reports the
-//! convergence point, step count, and (optionally) the full improving path
-//! with a potential-monotonicity audit.
+//! stable configuration. Theorem 1 shows the infinite case cannot happen,
+//! whatever picks the next mover; [`Dynamics`] executes the sequence and
+//! reports the convergence point, step count, and (optionally) the full
+//! improving path with a potential-monotonicity audit.
 //!
-//! Every entry point rides on `goc_game`'s incremental layers:
-//! [`MassTracker`] maintains masses, payoffs, and the potential audit
-//! under single-move deltas, and [`run`] hands schedulers a
-//! [`MoveSource`] — lazy move discovery over the
-//! tracker's strategic groups — through
-//! [`Scheduler::pick_incremental`]. No step materializes the per-miner
-//! improving-move list, so **every** bundled [`SchedulerKind`] converges
-//! 100k–250k-miner games, not just the dedicated [`run_incremental`]
-//! group round-robin. The eager [`Scheduler::pick_with`] path survives
-//! as the oracle the equivalence suite pins the lazy picks to.
+//! The engine is one loop over `goc_game`'s [`MassTracker`], which
+//! maintains masses, payoffs, and the potential audit under single-move
+//! and churn deltas. Only the choice of the next mover varies. Without a
+//! [`Scheduler`] the tracker's own group round-robin
+//! ([`MassTracker::find_improving_move`]) picks; with one, the scheduler
+//! picks through [`Scheduler::pick_incremental`] over a [`MoveSource`] —
+//! lazy move discovery over the tracker's strategic groups. No step
+//! materializes the per-miner improving-move list, so **every** bundled
+//! [`SchedulerKind`] converges 100k–250k-miner games. The eager
+//! [`Scheduler::pick_with`] path survives as the oracle the equivalence
+//! suite pins the lazy picks to.
 //!
 //! [`SchedulerKind`]: crate::scheduler::SchedulerKind
 
@@ -24,7 +25,7 @@ use std::fmt;
 
 use goc_game::{Configuration, Delta, Game, GameError, MassTracker, Move, MoveSource, Snapshot};
 
-use crate::instrument::{Fanout, Instrument, NoInstrument};
+use crate::instrument::{Instrument, NoInstrument};
 use crate::scheduler::{Scheduler, SchedulerError};
 
 /// One scheduled churn delta of a learning run: `delta` arrives once the
@@ -80,13 +81,6 @@ impl ChurnPlan {
     pub fn is_trivial(&self) -> bool {
         self.miner_active.is_none() && self.coin_active.is_none() && self.events.is_empty()
     }
-
-    /// Event indices in application order (`at_step`, ties by position).
-    fn order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by_key(|&i| self.events[i].at_step);
-        order
-    }
 }
 
 /// Options controlling a learning run.
@@ -132,8 +126,8 @@ pub struct LearningOutcome {
     /// Number of churn deltas applied during the run (0 without a plan).
     pub churn_applied: usize,
     /// Lifetime count of `O(coins)` group-decision cache re-probes the
-    /// run's [`MoveSource`] performed (0 for the scheduler-free
-    /// incremental engine, which rides the tracker directly). The
+    /// run's [`MoveSource`] performed (0 for scheduler-free runs, which
+    /// ride the tracker directly). The
     /// telemetry layer surfaces this as
     /// `goc_dynamics_cache_reprobes_total`.
     pub cache_reprobes: u64,
@@ -177,6 +171,13 @@ pub enum LearningError {
     /// not equal the builder's game — the fork would evaluate the wrong
     /// payoffs.
     SnapshotMismatch,
+    /// The starting state does not fit the game: the start configuration
+    /// is not one of the game's system, or the churn plan's time-zero
+    /// activity masks do not cover the universe or contradict the start.
+    InvalidStart {
+        /// What does not fit.
+        reason: String,
+    },
     /// [`Dynamics::run`] was called without a starting state: none of
     /// [`Dynamics::start`], [`Dynamics::from_snapshot`], or
     /// [`Dynamics::from_tracker`] was provided.
@@ -203,6 +204,7 @@ impl fmt::Display for LearningError {
                     "snapshot captures a different game than the dynamics run"
                 )
             }
+            LearningError::InvalidStart { reason } => write!(f, "invalid start: {reason}"),
             LearningError::MissingStart => {
                 write!(
                     f,
@@ -221,65 +223,9 @@ impl From<SchedulerError> for LearningError {
     }
 }
 
-/// Runs better-response learning from `start` under `scheduler`.
-///
-/// # Errors
-///
-/// * [`LearningError::NotABetterResponse`] if the scheduler misbehaves.
-/// * [`LearningError::PotentialViolation`] if auditing detects a
-///   non-increasing step (engine bug).
-///
-/// # Examples
-///
-/// ```
-/// use goc_game::{CoinId, Configuration, Game};
-/// use goc_learning::{run, LearningOptions, RoundRobin};
-///
-/// let game = Game::build(&[2, 1], &[1, 1])?;
-/// let start = Configuration::uniform(CoinId(0), game.system())?;
-/// let outcome = run(&game, &start, &mut RoundRobin::new(), LearningOptions::default())?;
-/// assert!(outcome.converged);
-/// assert!(game.is_stable(&outcome.final_config));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn run(
-    game: &Game,
-    start: &Configuration,
-    scheduler: &mut dyn Scheduler,
-    options: LearningOptions,
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game)
-        .start(start)
-        .scheduler(scheduler)
-        .options(options)
-        .run()
-}
-
-/// [`run`] with a per-step observer called *after* each applied move with
-/// the new configuration. Used by experiments that trace potential values
-/// or hashrate series.
-///
-/// Legacy shim: new call sites should thread an [`Instrument`] through
-/// [`Dynamics::instrument`] instead (a closure of this shape *is* an
-/// instrument via the blanket impl).
-pub fn run_with_observer(
-    game: &Game,
-    start: &Configuration,
-    scheduler: &mut dyn Scheduler,
-    options: LearningOptions,
-    mut observer: impl FnMut(&Configuration, Move),
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game)
-        .start(start)
-        .scheduler(scheduler)
-        .options(options)
-        .observer(&mut observer)
-        .run()
-}
-
-/// [`run`] over a **churning** population: the plan's activity masks set
-/// the time-zero universe state and its delta stream is interleaved with
-/// the scheduler's better-response steps (see [`ChurnPlan`]). All six
+/// [`Dynamics`] over a **churning** population: the plan's activity masks
+/// set the time-zero universe state and its delta stream is interleaved
+/// with the scheduler's better-response steps (see [`ChurnPlan`]). All six
 /// bundled schedulers ride the same incremental [`MoveSource`] — churn
 /// deltas repair the group-decision cache, never rebuild it.
 ///
@@ -288,8 +234,23 @@ pub fn run_with_observer(
 ///
 /// # Errors
 ///
-/// As [`run`], plus [`LearningError::ChurnRejected`] when a scheduled
-/// delta is illegal in the state it arrives in.
+/// As [`Dynamics::run`].
+///
+/// # Examples
+///
+/// ```
+/// use goc_game::{CoinId, Configuration, Game};
+/// use goc_learning::{run_with_churn, ChurnPlan, LearningOptions, RoundRobin};
+///
+/// let game = Game::build(&[2, 1], &[1, 1])?;
+/// let start = Configuration::uniform(CoinId(0), game.system())?;
+/// let plan = ChurnPlan::default();
+/// let options = LearningOptions::default();
+/// let outcome = run_with_churn(&game, &start, &mut RoundRobin::new(), options, &plan)?;
+/// assert!(outcome.converged);
+/// assert!(game.is_stable(&outcome.final_config));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn run_with_churn(
     game: &Game,
     start: &Configuration,
@@ -300,187 +261,6 @@ pub fn run_with_churn(
     Dynamics::new(game)
         .start(start)
         .scheduler(scheduler)
-        .options(options)
-        .churn(plan)
-        .run()
-}
-
-/// Builds the tracker for a plan's initial activity state.
-fn churn_tracker<'g>(
-    game: &'g Game,
-    start: &Configuration,
-    plan: &ChurnPlan,
-) -> Result<MassTracker<'g>, LearningError> {
-    if plan.miner_active.is_none() && plan.coin_active.is_none() {
-        return Ok(MassTracker::new(game, start)
-            .expect("start configuration belongs to the game's system"));
-    }
-    let n = game.system().num_miners();
-    let k = game.system().num_coins();
-    let miner_active = plan.miner_active.clone().unwrap_or_else(|| vec![true; n]);
-    let coin_active = plan.coin_active.clone().unwrap_or_else(|| vec![true; k]);
-    MassTracker::with_activity(game, start, &miner_active, &coin_active)
-        .map_err(|error| LearningError::ChurnRejected { step: 0, error })
-}
-
-/// The scheduled engine: churn interleaving and scheduler picks over a
-/// [`MoveSource`] built on `tracker`. The plan's activity masks are not
-/// consulted — the tracker already carries its activity state.
-fn scheduled_engine(
-    tracker: MassTracker<'_>,
-    scheduler: &mut dyn Scheduler,
-    options: LearningOptions,
-    plan: &ChurnPlan,
-    instrument: &mut dyn Instrument,
-) -> Result<LearningOutcome, LearningError> {
-    let mut source = MoveSource::over(tracker);
-    // The run never rewinds; don't retain an O(steps) undo history.
-    source.set_undo_recording(false);
-    let order = plan.order();
-    let every = instrument.checkpoint_every();
-    let mut next = 0usize;
-    let mut churn_applied = 0usize;
-    let mut path = Vec::new();
-    let mut steps = 0usize;
-
-    let finish = |source: MoveSource<'_>, steps, converged, path, churn_applied| {
-        let final_activity = (!plan.is_trivial()).then(|| {
-            (
-                source.tracker().miner_activity().to_vec(),
-                source.tracker().coin_activity().to_vec(),
-            )
-        });
-        let cache_reprobes = source.reprobe_count();
-        LearningOutcome {
-            final_config: source.into_config(),
-            steps,
-            converged,
-            path,
-            potential_audit: options.audit_potential.then_some(true),
-            churn_applied,
-            cache_reprobes,
-            final_activity,
-        }
-    };
-
-    loop {
-        if steps >= options.max_steps {
-            return Ok(finish(source, steps, false, path, churn_applied));
-        }
-        // Churn due at this step count arrives before the next pick; the
-        // cache repair is incremental, so the stability sweep after it
-        // only re-probes the dirtied groups.
-        while next < order.len() && plan.events[order[next]].at_step <= steps {
-            let event = &plan.events[order[next]];
-            source
-                .apply_delta(event.delta)
-                .map_err(|error| LearningError::ChurnRejected { step: steps, error })?;
-            churn_applied += 1;
-            next += 1;
-            instrument.on_delta(steps, event.delta);
-        }
-        // The stability sweep warms the source's group-decision cache;
-        // the scheduler's pick right after reuses it.
-        if source.is_stable() {
-            if next < order.len() {
-                // Stable, but more churn is scheduled: fast-forward to
-                // the next arrival (equilibria only last until the
-                // market changes under them).
-                let event = &plan.events[order[next]];
-                source
-                    .apply_delta(event.delta)
-                    .map_err(|error| LearningError::ChurnRejected { step: steps, error })?;
-                churn_applied += 1;
-                next += 1;
-                instrument.on_delta(steps, event.delta);
-                continue;
-            }
-            return Ok(finish(source, steps, true, path, churn_applied));
-        }
-        let mv = scheduler.pick_incremental(&mut source)?;
-        if !source.is_better_response(mv.miner, mv.to) {
-            return Err(LearningError::NotABetterResponse { mv });
-        }
-        let before = options.audit_potential.then(|| source.rpu_list());
-        source.apply(mv.miner, mv.to);
-        if let Some(before) = before {
-            // Theorem 1's ordinal potential is the sorted RPU list; the
-            // tracker yields it in O(coins log coins) with no rescan.
-            // (Churn re-shapes the list, so the audit is per-move: the
-            // `before` snapshot is taken after any churn this round.)
-            if source.rpu_list() <= before {
-                return Err(LearningError::PotentialViolation { mv, step: steps });
-            }
-        }
-        if options.record_path {
-            path.push(mv);
-        }
-        instrument.on_step(source.config(), mv);
-        steps += 1;
-        if every > 0 && steps.is_multiple_of(every) {
-            instrument.on_checkpoint(steps, &Snapshot::of(source.tracker()));
-        }
-    }
-}
-
-/// Better-response learning for **large populations**: a round-robin over
-/// the tracker's strategic groups (same coin, same power), each step
-/// applying the probed group representative's best response. Semantics
-/// are a legal better-response learning in the sense of Theorem 1 — it
-/// converges to a pure equilibrium exactly like [`run`] — but no step
-/// ever rescans the miner vector, so 100k+ miner games converge in
-/// seconds as long as the population has few distinct hashrate classes.
-///
-/// Since the incremental scheduler protocol landed, [`run`] matches this
-/// entry point's asymptotics for every bundled scheduler (both ride the
-/// tracker); `run_incremental` survives as the leanest loop — group
-/// round-robin with no scheduler dispatch, the recorded `BENCH_*.json`
-/// dynamics workload — and as a second implementation the `schedulers`
-/// experiment cross-checks.
-///
-/// # Errors
-///
-/// [`LearningError::PotentialViolation`] if auditing detects a
-/// non-increasing step (engine bug).
-///
-/// # Examples
-///
-/// ```
-/// use goc_game::{CoinId, Configuration, Game};
-/// use goc_learning::{run_incremental, LearningOptions};
-///
-/// let game = Game::build(&[3, 3, 1, 1], &[6, 2])?;
-/// let start = Configuration::uniform(CoinId(0), game.system())?;
-/// let outcome = run_incremental(&game, &start, LearningOptions::default())?;
-/// assert!(outcome.converged);
-/// assert!(game.is_stable(&outcome.final_config));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub fn run_incremental(
-    game: &Game,
-    start: &Configuration,
-    options: LearningOptions,
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game).start(start).options(options).run()
-}
-
-/// [`run_incremental`] over a **churning** population: the scheduler-free
-/// group round-robin with the plan's delta stream interleaved exactly as
-/// in [`run_with_churn`]. This is the leanest churn loop — the workload
-/// the `churn` throughput baseline records.
-///
-/// # Errors
-///
-/// As [`run_incremental`], plus [`LearningError::ChurnRejected`] when a
-/// scheduled delta is illegal in the state it arrives in.
-pub fn run_incremental_with_churn(
-    game: &Game,
-    start: &Configuration,
-    options: LearningOptions,
-    plan: &ChurnPlan,
-) -> Result<LearningOutcome, LearningError> {
-    Dynamics::new(game)
-        .start(start)
         .options(options)
         .churn(plan)
         .run()
@@ -500,8 +280,7 @@ pub struct CheckpointHook<'a> {
 }
 
 /// A checkpoint hook is an [`Instrument`] that only listens for
-/// checkpoints — the engine's single watching seam subsumes the old
-/// dedicated hook parameter.
+/// checkpoints.
 impl Instrument for CheckpointHook<'_> {
     fn checkpoint_every(&self) -> usize {
         self.every.max(1)
@@ -512,124 +291,246 @@ impl Instrument for CheckpointHook<'_> {
     }
 }
 
-/// **Warm-start** entry of the incremental engine: continues the group
+/// **Warm-start** run without a scheduler: continues the tracker's group
 /// round-robin from an existing tracker — a [`Snapshot`] fork, a
 /// checkpoint restore, or any tracker mid-dynamics — instead of
 /// building one from a start configuration. The plan's activity masks
 /// are **ignored** (the tracker already carries its activity state);
 /// only the delta stream and the plan's triviality (which decides
 /// whether `final_activity` is reported) are consulted. Undo recording
-/// is switched off for the duration, as in [`run_incremental`].
+/// is switched off for the duration, as in every [`Dynamics`] run.
 ///
 /// Passing a hook checkpoints the run periodically (see
 /// [`CheckpointHook`]).
 ///
 /// # Errors
 ///
-/// As [`run_incremental_with_churn`].
+/// As [`Dynamics::run`].
+///
+/// # Examples
+///
+/// ```
+/// use goc_game::{CoinId, Configuration, Game, MassTracker};
+/// use goc_learning::{run_incremental_from, ChurnPlan, LearningOptions};
+///
+/// let game = Game::build(&[3, 3, 1, 1], &[6, 2])?;
+/// let start = Configuration::uniform(CoinId(0), game.system())?;
+/// let tracker = MassTracker::new(&game, &start)?;
+/// let plan = ChurnPlan::default();
+/// let outcome = run_incremental_from(tracker, LearningOptions::default(), &plan, None)?;
+/// assert!(outcome.converged);
+/// assert!(game.is_stable(&outcome.final_config));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn run_incremental_from<'g, 'a>(
     tracker: MassTracker<'g>,
     options: LearningOptions,
     plan: &'a ChurnPlan,
-    hook: Option<CheckpointHook<'a>>,
+    mut hook: Option<CheckpointHook<'a>>,
 ) -> Result<LearningOutcome, LearningError> {
-    let mut builder = Dynamics::new(tracker.game())
+    let dynamics = Dynamics::new(tracker.game())
         .from_tracker(tracker)
         .options(options)
         .churn(plan);
-    if let Some(hook) = hook {
-        builder = builder.checkpoint(hook);
+    match hook.as_mut() {
+        Some(hook) => dynamics.instrument(hook).run(),
+        None => dynamics.run(),
     }
-    builder.run()
 }
 
-/// The scheduler-free engine: churn interleaving and the tracker's own
-/// group round-robin ([`MassTracker::find_improving_move`]) — the
+/// Who moves next — the only thing that differs between better-response
+/// runs. The engine loop is generic over it, so each finder gets its own
+/// compiled copy of the loop with no per-step dispatch.
+trait MoveFinder<'g> {
+    /// The state the finder picks from.
+    fn tracker(&self) -> &MassTracker<'g>;
+
+    /// The next improving move, or `None` once the active population is
+    /// stable.
+    fn next_move(&mut self) -> Result<Option<Move>, LearningError>;
+
+    /// Applies a move [`MoveFinder::next_move`] returned.
+    fn make_move(&mut self, mv: Move);
+
+    /// Applies one churn delta.
+    fn churn(&mut self, delta: Delta) -> Result<(), GameError>;
+
+    /// Consumes the finder, returning the final configuration and the
+    /// decision-cache re-probe count (0 without a cache).
+    fn finish(self) -> (Configuration, u64);
+}
+
+/// The scheduler-free finder: the tracker's own group round-robin — the
 /// leanest loop, and the recorded `BENCH_*.json` dynamics workload.
-fn incremental_engine(
-    mut tracker: MassTracker<'_>,
+impl<'g> MoveFinder<'g> for MassTracker<'g> {
+    fn tracker(&self) -> &MassTracker<'g> {
+        self
+    }
+
+    fn next_move(&mut self) -> Result<Option<Move>, LearningError> {
+        Ok(self.find_improving_move())
+    }
+
+    fn make_move(&mut self, mv: Move) {
+        self.apply(mv.miner, mv.to);
+    }
+
+    fn churn(&mut self, delta: Delta) -> Result<(), GameError> {
+        self.apply_delta(delta).map(drop)
+    }
+
+    fn finish(self) -> (Configuration, u64) {
+        (self.into_config(), 0)
+    }
+}
+
+/// The scheduler finder: `scheduler` picks over a [`MoveSource`], and
+/// every pick is checked to be a legal better response.
+struct Scheduled<'g, 's> {
+    source: MoveSource<'g>,
+    scheduler: &'s mut dyn Scheduler,
+}
+
+impl<'g> MoveFinder<'g> for Scheduled<'g, '_> {
+    fn tracker(&self) -> &MassTracker<'g> {
+        self.source.tracker()
+    }
+
+    fn next_move(&mut self) -> Result<Option<Move>, LearningError> {
+        // The stability sweep warms the source's group-decision cache;
+        // the scheduler's pick right after reuses it.
+        if self.source.is_stable() {
+            return Ok(None);
+        }
+        let mv = self.scheduler.pick_incremental(&mut self.source)?;
+        if !self.source.is_better_response(mv.miner, mv.to) {
+            return Err(LearningError::NotABetterResponse { mv });
+        }
+        Ok(Some(mv))
+    }
+
+    fn make_move(&mut self, mv: Move) {
+        self.source.apply(mv.miner, mv.to);
+    }
+
+    fn churn(&mut self, delta: Delta) -> Result<(), GameError> {
+        // The cache repair is incremental, so the stability sweep after
+        // a delta only re-probes the dirtied groups.
+        self.source.apply_delta(delta).map(drop)
+    }
+
+    fn finish(self) -> (Configuration, u64) {
+        let reprobes = self.source.reprobe_count();
+        (self.source.into_config(), reprobes)
+    }
+}
+
+/// The engine: better-response steps from `finder`, interleaved with the
+/// plan's delta stream. The plan's activity masks are not consulted —
+/// the finder's tracker already carries its activity state.
+fn engine<'g>(
+    mut finder: impl MoveFinder<'g>,
     options: LearningOptions,
     plan: &ChurnPlan,
     instrument: &mut dyn Instrument,
 ) -> Result<LearningOutcome, LearningError> {
-    // The run never rewinds; don't retain an O(steps) undo history.
-    tracker.set_undo_recording(false);
-    let order = plan.order();
+    // Application order: by `at_step`, ties in list order (stable sort).
+    let mut events = plan.events.clone();
+    events.sort_by_key(|event| event.at_step);
+    let mut pending = events.into_iter().peekable();
     let every = instrument.checkpoint_every();
-    let mut next = 0usize;
     let mut churn_applied = 0usize;
     let mut path = Vec::new();
     let mut steps = 0usize;
 
-    let finish = |tracker: MassTracker<'_>, steps, converged, path, churn_applied| {
-        let final_activity = (!plan.is_trivial()).then(|| {
-            (
-                tracker.miner_activity().to_vec(),
-                tracker.coin_activity().to_vec(),
-            )
-        });
-        LearningOutcome {
-            final_config: tracker.into_config(),
-            steps,
-            converged,
-            path,
-            potential_audit: options.audit_potential.then_some(true),
-            churn_applied,
-            // The incremental engine rides the tracker directly; there
-            // is no MoveSource decision cache to re-probe.
-            cache_reprobes: 0,
-            final_activity,
+    let converged = loop {
+        if steps >= options.max_steps {
+            break false;
         }
+        // Churn due at this step count arrives before the next pick.
+        let event = if let Some(event) = pending.next_if(|event| event.at_step <= steps) {
+            event
+        } else if let Some(mv) = finder.next_move()? {
+            let before = options.audit_potential.then(|| finder.tracker().rpu_list());
+            finder.make_move(mv);
+            if let Some(before) = before {
+                // Theorem 1's ordinal potential is the sorted RPU list;
+                // the tracker yields it in O(coins log coins) with no
+                // rescan. (Churn re-shapes the list, so the audit is
+                // per-move: `before` is taken after any churn this round.)
+                if finder.tracker().rpu_list() <= before {
+                    return Err(LearningError::PotentialViolation { mv, step: steps });
+                }
+            }
+            if options.record_path {
+                path.push(mv);
+            }
+            instrument.on_step(finder.tracker().config(), mv);
+            steps += 1;
+            if every > 0 && steps.is_multiple_of(every) {
+                instrument.on_checkpoint(steps, &Snapshot::of(finder.tracker()));
+            }
+            continue;
+        } else if let Some(event) = pending.next() {
+            // Stable, but more churn is scheduled: fast-forward to the
+            // next arrival (equilibria only last until the market
+            // changes under them).
+            event
+        } else {
+            break true;
+        };
+        finder
+            .churn(event.delta)
+            .map_err(|error| LearningError::ChurnRejected { step: steps, error })?;
+        churn_applied += 1;
+        instrument.on_delta(steps, event.delta);
     };
 
-    loop {
-        if steps >= options.max_steps {
-            return Ok(finish(tracker, steps, false, path, churn_applied));
-        }
-        while next < order.len() && plan.events[order[next]].at_step <= steps {
-            let event = &plan.events[order[next]];
-            tracker
-                .apply_delta(event.delta)
-                .map_err(|error| LearningError::ChurnRejected { step: steps, error })?;
-            churn_applied += 1;
-            next += 1;
-            instrument.on_delta(steps, event.delta);
-        }
-        let Some(mv) = tracker.find_improving_move() else {
-            if next < order.len() {
-                // Stable, but more churn is scheduled: fast-forward.
-                let event = &plan.events[order[next]];
-                tracker
-                    .apply_delta(event.delta)
-                    .map_err(|error| LearningError::ChurnRejected { step: steps, error })?;
-                churn_applied += 1;
-                next += 1;
-                instrument.on_delta(steps, event.delta);
-                continue;
-            }
-            return Ok(finish(tracker, steps, true, path, churn_applied));
-        };
-        let before = options.audit_potential.then(|| tracker.rpu_list());
-        tracker.apply(mv.miner, mv.to);
-        if let Some(before) = before {
-            if tracker.rpu_list() <= before {
-                return Err(LearningError::PotentialViolation { mv, step: steps });
-            }
-        }
-        if options.record_path {
-            path.push(mv);
-        }
-        instrument.on_step(tracker.config(), mv);
-        steps += 1;
-        if every > 0 && steps.is_multiple_of(every) {
-            instrument.on_checkpoint(steps, &Snapshot::of(&tracker));
-        }
-    }
+    let final_activity = (!plan.is_trivial()).then(|| {
+        let tracker = finder.tracker();
+        (
+            tracker.miner_activity().to_vec(),
+            tracker.coin_activity().to_vec(),
+        )
+    });
+    let (final_config, cache_reprobes) = finder.finish();
+    Ok(LearningOutcome {
+        final_config,
+        cache_reprobes,
+        steps,
+        converged,
+        path,
+        potential_audit: options.audit_potential.then_some(true),
+        churn_applied,
+        final_activity,
+    })
 }
 
-/// A borrowed step observer: called with the configuration *after* each
-/// executed move, and the move itself.
-type Observer<'a> = &'a mut dyn FnMut(&Configuration, Move);
+/// Builds the tracker for a configuration start under the plan's
+/// time-zero activity masks.
+fn start_tracker<'g>(
+    game: &'g Game,
+    start: &Configuration,
+    plan: &ChurnPlan,
+) -> Result<MassTracker<'g>, LearningError> {
+    let invalid = |reason: String| LearningError::InvalidStart { reason };
+    if plan.miner_active.is_none() && plan.coin_active.is_none() {
+        return MassTracker::new(game, start).map_err(|error| invalid(error.to_string()));
+    }
+    let mask = |mask: &Option<Vec<bool>>, len: usize, what: &str| match mask {
+        None => Ok(vec![true; len]),
+        Some(mask) if mask.len() == len => Ok(mask.clone()),
+        Some(mask) => Err(invalid(format!(
+            "{what} activity mask has {} entries but the system has {len} {what}s",
+            mask.len()
+        ))),
+    };
+    let system = game.system();
+    let miner_active = mask(&plan.miner_active, system.num_miners(), "miner")?;
+    let coin_active = mask(&plan.coin_active, system.num_coins(), "coin")?;
+    MassTracker::with_activity(game, start, &miner_active, &coin_active)
+        .map_err(|error| invalid(error.to_string()))
+}
 
 /// The **single entry point** of the learning engine: a builder that
 /// assembles a better-response run from its independent ingredients —
@@ -637,13 +538,7 @@ type Observer<'a> = &'a mut dyn FnMut(&Configuration, Move);
 /// [`MassTracker`]), who picks the moves (a [`Scheduler`], or the
 /// tracker's own group round-robin when none is given), what churns
 /// (a [`ChurnPlan`]), and what watches (an [`Instrument`] — per-step,
-/// per-delta, and periodic-checkpoint callbacks in one trait; the
-/// legacy [`Dynamics::observer`] / [`Dynamics::checkpoint`] seams
-/// remain and compose with it).
-///
-/// The classic `run*` functions are thin wrappers over this builder and
-/// remain for callers that want the narrow signatures; new call sites
-/// should come through here.
+/// per-delta, and periodic-checkpoint callbacks in one trait).
 ///
 /// Starting-state precedence when several are set:
 /// [`Dynamics::from_tracker`] > [`Dynamics::from_snapshot`] >
@@ -653,8 +548,7 @@ type Observer<'a> = &'a mut dyn FnMut(&Configuration, Move);
 ///
 /// # Examples
 ///
-/// The scheduler-free incremental engine (the `BENCH_*.json` dynamics
-/// workload):
+/// The scheduler-free run (the `BENCH_*.json` dynamics workload):
 ///
 /// ```
 /// use goc_game::{CoinId, Configuration, Game};
@@ -668,19 +562,21 @@ type Observer<'a> = &'a mut dyn FnMut(&Configuration, Move);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 ///
-/// A scheduled run with an observer:
+/// A scheduled run with a step observer (any
+/// `FnMut(&Configuration, Move)` closure is an [`Instrument`]):
 ///
 /// ```
-/// use goc_game::{CoinId, Configuration, Game};
+/// use goc_game::{CoinId, Configuration, Game, Move};
 /// use goc_learning::{Dynamics, RoundRobin};
 ///
 /// let game = Game::build(&[2, 1], &[1, 1])?;
 /// let start = Configuration::uniform(CoinId(0), game.system())?;
 /// let mut trace = Vec::new();
+/// let mut observe = |_: &Configuration, mv: Move| trace.push(mv);
 /// let outcome = Dynamics::new(&game)
 ///     .start(&start)
 ///     .scheduler(&mut RoundRobin::new())
-///     .observer(&mut |_, mv| trace.push(mv))
+///     .instrument(&mut observe)
 ///     .run()?;
 /// assert_eq!(trace.len(), outcome.steps);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -694,13 +590,11 @@ pub struct Dynamics<'g, 'a> {
     options: LearningOptions,
     plan: Option<&'a ChurnPlan>,
     instrument: Option<&'a mut dyn Instrument>,
-    observer: Option<Observer<'a>>,
-    hook: Option<CheckpointHook<'a>>,
 }
 
 impl<'g, 'a> Dynamics<'g, 'a> {
     /// Starts assembling a run over `game` with default options, no
-    /// churn, and the scheduler-free incremental engine.
+    /// churn, and the tracker's group round-robin picking the moves.
     pub fn new(game: &'g Game) -> Self {
         Dynamics {
             game,
@@ -711,8 +605,6 @@ impl<'g, 'a> Dynamics<'g, 'a> {
             options: LearningOptions::default(),
             plan: None,
             instrument: None,
-            observer: None,
-            hook: None,
         }
     }
 
@@ -761,42 +653,16 @@ impl<'g, 'a> Dynamics<'g, 'a> {
         self
     }
 
-    /// Threads `instrument` through the run — the unified watching
-    /// seam: per-step, per-delta, and periodic-checkpoint callbacks in
-    /// one trait (see [`Instrument`]). Closures of the classic observer
-    /// shape `FnMut(&Configuration, Move)` are instruments via the
-    /// blanket impl, as is [`CheckpointHook`]; telemetry attaches the
-    /// same way ([`DynamicsTelemetry`]).
-    ///
-    /// Composes with the legacy [`Dynamics::observer`] /
-    /// [`Dynamics::checkpoint`] seams: when more than one watcher is
-    /// set, all of them see the run.
+    /// Threads `instrument` through the run — the one watching seam:
+    /// per-step, per-delta, and periodic-checkpoint callbacks in one
+    /// trait (see [`Instrument`]). Closures of the shape
+    /// `FnMut(&Configuration, Move)` are instruments via the blanket
+    /// impl, as is [`CheckpointHook`]; telemetry attaches the same way
+    /// ([`DynamicsTelemetry`]).
     ///
     /// [`DynamicsTelemetry`]: crate::instrument::DynamicsTelemetry
     pub fn instrument(mut self, instrument: &'a mut dyn Instrument) -> Self {
         self.instrument = Some(instrument);
-        self
-    }
-
-    /// Calls `observer` after every applied move with the new
-    /// configuration.
-    ///
-    /// Legacy seam: [`Dynamics::instrument`] subsumes this (a closure
-    /// of this shape *is* an [`Instrument`]); kept so existing observer
-    /// call sites compile unchanged.
-    pub fn observer(mut self, observer: &'a mut dyn FnMut(&Configuration, Move)) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Captures a [`Snapshot`] every `hook.every` steps (see
-    /// [`CheckpointHook`]).
-    ///
-    /// Legacy seam: [`Dynamics::instrument`] subsumes this
-    /// ([`CheckpointHook`] implements [`Instrument`]); kept so existing
-    /// checkpoint call sites compile unchanged.
-    pub fn checkpoint(mut self, hook: CheckpointHook<'a>) -> Self {
-        self.hook = Some(hook);
         self
     }
 
@@ -805,79 +671,47 @@ impl<'g, 'a> Dynamics<'g, 'a> {
     /// # Errors
     ///
     /// * [`LearningError::MissingStart`] without a starting state.
+    /// * [`LearningError::InvalidStart`] if a start configuration or the
+    ///   plan's activity masks do not fit the game.
     /// * [`LearningError::SnapshotMismatch`] if a snapshot start
     ///   captures a different game.
-    /// * The engine errors of the classic entry points:
-    ///   [`LearningError::NotABetterResponse`],
-    ///   [`LearningError::PotentialViolation`],
-    ///   [`LearningError::SchedulerFailed`],
-    ///   [`LearningError::ChurnRejected`].
+    /// * [`LearningError::NotABetterResponse`] or
+    ///   [`LearningError::SchedulerFailed`] if the scheduler misbehaves.
+    /// * [`LearningError::PotentialViolation`] if auditing detects a
+    ///   non-increasing step (engine bug).
+    /// * [`LearningError::ChurnRejected`] when a scheduled delta is
+    ///   illegal in the state it arrives in.
     pub fn run(self) -> Result<LearningOutcome, LearningError> {
         let default_plan = ChurnPlan::default();
         let plan = self.plan.unwrap_or(&default_plan);
-        let tracker = if let Some(tracker) = self.tracker {
+        let mut tracker = if let Some(tracker) = self.tracker {
             tracker
         } else if let Some(snapshot) = self.snapshot {
             snapshot
                 .fork_into(self.game)
                 .map_err(|_| LearningError::SnapshotMismatch)?
         } else if let Some(start) = &self.start {
-            churn_tracker(self.game, start, plan)?
+            start_tracker(self.game, start, plan)?
         } else {
             return Err(LearningError::MissingStart);
         };
-        // Fold the legacy observer/checkpoint seams and the instrument
-        // into the engine's single watcher. A `&mut dyn FnMut` observer
-        // is itself `FnMut`, so the blanket impl covers it; a lone
-        // watcher is passed straight through with no fan-out layer.
-        let mut observer = self.observer;
-        let mut hook = self.hook;
-        let mut parts: Vec<&mut dyn Instrument> = Vec::new();
-        if let Some(instrument) = self.instrument {
-            parts.push(instrument);
-        }
-        if let Some(observer) = observer.as_mut() {
-            parts.push(observer);
-        }
-        if let Some(hook) = hook.as_mut() {
-            parts.push(hook);
-        }
-        let mut noop = NoInstrument;
-        let mut fan;
-        let instrument: &mut dyn Instrument = if parts.is_empty() {
-            &mut noop
-        } else if parts.len() == 1 {
-            parts.pop().expect("exactly one watcher")
-        } else {
-            fan = Fanout::new(parts);
-            &mut fan
-        };
+        // The run never rewinds; don't retain an O(steps) undo history.
+        tracker.set_undo_recording(false);
+        let mut unwatched = NoInstrument;
+        let instrument = self.instrument.unwrap_or(&mut unwatched);
         match self.scheduler {
-            Some(scheduler) => scheduled_engine(tracker, scheduler, self.options, plan, instrument),
-            None => incremental_engine(tracker, self.options, plan, instrument),
+            Some(scheduler) => {
+                let source = MoveSource::over(tracker);
+                engine(
+                    Scheduled { source, scheduler },
+                    self.options,
+                    plan,
+                    instrument,
+                )
+            }
+            None => engine(tracker, self.options, plan, instrument),
         }
     }
-}
-
-/// Convenience: run to convergence with defaults and return only the final
-/// stable configuration and step count.
-///
-/// # Panics
-///
-/// Panics if the scheduler misbehaves (cannot happen for the bundled
-/// schedulers) or the step cap is hit.
-pub fn converge(
-    game: &Game,
-    start: &Configuration,
-    scheduler: &mut dyn Scheduler,
-) -> (Configuration, usize) {
-    let outcome = run(game, start, scheduler, LearningOptions::default())
-        .expect("bundled schedulers only return legal moves");
-    assert!(
-        outcome.converged,
-        "better-response learning did not converge within the step cap"
-    );
-    (outcome.final_config, outcome.steps)
 }
 
 #[cfg(test)]
@@ -889,13 +723,43 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// A run from `start` under `scheduler`.
+    fn scheduled(
+        game: &Game,
+        start: &Configuration,
+        scheduler: &mut dyn Scheduler,
+        options: LearningOptions,
+    ) -> Result<LearningOutcome, LearningError> {
+        Dynamics::new(game)
+            .start(start)
+            .scheduler(scheduler)
+            .options(options)
+            .run()
+    }
+
+    /// A scheduler-free run from `start`.
+    fn unscheduled(
+        game: &Game,
+        start: &Configuration,
+        options: LearningOptions,
+    ) -> Result<LearningOutcome, LearningError> {
+        Dynamics::new(game).start(start).options(options).run()
+    }
+
     #[test]
     fn converges_on_prop1_game() {
         let game = goc_game::paper::prop1_game();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let (final_config, steps) = converge(&game, &start, &mut RoundRobin::new());
-        assert!(game.is_stable(&final_config));
-        assert!(steps >= 1);
+        let outcome = scheduled(
+            &game,
+            &start,
+            &mut RoundRobin::new(),
+            LearningOptions::default(),
+        )
+        .unwrap();
+        assert!(outcome.converged);
+        assert!(game.is_stable(&outcome.final_config));
+        assert!(outcome.steps >= 1);
     }
 
     #[test]
@@ -912,7 +776,7 @@ mod tests {
             let start = goc_game::gen::random_config(&mut rng, game.system());
             for kind in SchedulerKind::ALL {
                 let mut sched = kind.build(trial);
-                let outcome = run(
+                let outcome = scheduled(
                     &game,
                     &start,
                     sched.as_mut(),
@@ -935,7 +799,7 @@ mod tests {
     fn path_replay_reaches_final_config() {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run(
+        let outcome = scheduled(
             &game,
             &start,
             &mut UniformRandom::seeded(5),
@@ -957,7 +821,7 @@ mod tests {
     fn step_cap_reports_non_convergence() {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run(
+        let outcome = scheduled(
             &game,
             &start,
             &mut MinGain,
@@ -998,7 +862,7 @@ mod tests {
         }
         let game = goc_game::paper::prop1_game();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let err = run(&game, &start, &mut Rogue, LearningOptions::default()).unwrap_err();
+        let err = scheduled(&game, &start, &mut Rogue, LearningOptions::default()).unwrap_err();
         assert!(matches!(err, LearningError::NotABetterResponse { .. }));
         assert!(!err.to_string().is_empty());
     }
@@ -1008,14 +872,13 @@ mod tests {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
         let mut observed = 0usize;
-        let outcome = run_with_observer(
-            &game,
-            &start,
-            &mut RoundRobin::new(),
-            LearningOptions::default(),
-            |_, _| observed += 1,
-        )
-        .unwrap();
+        let mut observe = |_: &Configuration, _: Move| observed += 1;
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut RoundRobin::new())
+            .instrument(&mut observe)
+            .run()
+            .unwrap();
         assert_eq!(observed, outcome.steps);
     }
 
@@ -1023,7 +886,7 @@ mod tests {
     fn stable_start_is_zero_steps() {
         let game = goc_game::paper::prop1_game();
         let eq = goc_game::equilibrium::greedy_equilibrium(&game);
-        let outcome = run(
+        let outcome = scheduled(
             &game,
             &eq,
             &mut RoundRobin::new(),
@@ -1047,7 +910,7 @@ mod tests {
         for _ in 0..10 {
             let game = spec.sample(&mut rng).unwrap();
             let start = goc_game::gen::random_config(&mut rng, game.system());
-            let outcome = run_incremental(
+            let outcome = unscheduled(
                 &game,
                 &start,
                 LearningOptions {
@@ -1078,7 +941,7 @@ mod tests {
     fn incremental_path_respects_step_cap() {
         let game = goc_game::paper::btc_bch_toy();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run_incremental(
+        let outcome = unscheduled(
             &game,
             &start,
             LearningOptions {
@@ -1103,12 +966,12 @@ mod tests {
             ])
             .unwrap();
         let start = Configuration::uniform(CoinId(1), game.system()).unwrap();
-        let outcome = run_incremental(&game, &start, LearningOptions::default()).unwrap();
+        let outcome = unscheduled(&game, &start, LearningOptions::default()).unwrap();
         assert!(outcome.converged);
         assert!(game.is_stable(&outcome.final_config));
 
         let eq = goc_game::equilibrium::greedy_equilibrium(&goc_game::paper::prop1_game());
-        let outcome = run_incremental(
+        let outcome = unscheduled(
             &goc_game::paper::prop1_game(),
             &eq,
             LearningOptions::default(),
@@ -1129,7 +992,7 @@ mod tests {
         let powers: Vec<u64> = (0..3_000).map(|i| classes[i % classes.len()]).collect();
         let game = Game::build(&powers, &[60, 30, 10]).unwrap();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let outcome = run_incremental(&game, &start, LearningOptions::default()).unwrap();
+        let outcome = unscheduled(&game, &start, LearningOptions::default()).unwrap();
         assert!(outcome.converged);
         assert!(outcome.steps >= 1_000, "suspiciously few steps");
         let tracker = goc_game::MassTracker::new(&game, &outcome.final_config).unwrap();
@@ -1235,8 +1098,11 @@ mod tests {
                 },
             ],
         };
-        let incremental =
-            run_incremental_with_churn(&game, &start, LearningOptions::default(), &plan).unwrap();
+        let incremental = Dynamics::new(&game)
+            .start(&start)
+            .churn(&plan)
+            .run()
+            .unwrap();
         assert!(incremental.converged);
         assert_eq!(incremental.churn_applied, 2);
         let mut rr = RoundRobin::new();
@@ -1328,7 +1194,7 @@ mod tests {
     fn warm_start_from_a_fork_matches_the_cold_run() {
         let game = Game::build(&[8, 5, 3, 2, 1, 1], &[7, 4, 2]).unwrap();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let cold = run_incremental(&game, &start, LearningOptions::default()).unwrap();
+        let cold = unscheduled(&game, &start, LearningOptions::default()).unwrap();
         // Fork the *starting* state through a snapshot round-trip and
         // continue from it: the trajectory (and thus the equilibrium and
         // step count) must be identical.
@@ -1412,6 +1278,61 @@ mod tests {
         assert!(resumed.converged);
         assert_eq!(resumed.final_config, full.final_config);
         assert_eq!(resumed.steps + at, full.steps);
+
+        // A scheduled run checkpoints on the same cadence. Scheduler state
+        // is not in the snapshot, so resume is exact only without a
+        // scheduler; here only cadence and count are pinned.
+        let mut at_steps = Vec::new();
+        let mut sink = |steps: usize, _: Snapshot| at_steps.push(steps);
+        let mut hook = CheckpointHook {
+            every: 1,
+            sink: &mut sink,
+        };
+        let scheduled = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(&mut RoundRobin::new())
+            .churn(&plan)
+            .instrument(&mut hook)
+            .run()
+            .unwrap();
+        assert!(scheduled.converged);
+        assert!(scheduled.steps >= 1);
+        let cadence: Vec<usize> = (1..=scheduled.steps).collect();
+        assert_eq!(at_steps, cadence, "one checkpoint per step");
+    }
+
+    #[test]
+    fn a_start_that_does_not_fit_the_game_is_a_named_error() {
+        let game = Game::build(&[2, 1], &[1, 1]).unwrap();
+        let other = Game::build(&[3, 2, 1], &[1, 1]).unwrap();
+        let foreign = Configuration::uniform(CoinId(0), other.system()).unwrap();
+        let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
+        let masks = |miners: usize, coins: usize| ChurnPlan {
+            miner_active: Some(vec![true; miners]),
+            coin_active: Some(vec![true; coins]),
+            events: Vec::new(),
+        };
+        let cases = [
+            (&foreign, ChurnPlan::default()),
+            (&foreign, masks(2, 2)),
+            (&start, masks(3, 2)),
+            (&start, masks(2, 3)),
+        ];
+        for (start, plan) in &cases {
+            for with_scheduler in [false, true] {
+                let mut rr = RoundRobin::new();
+                let mut dynamics = Dynamics::new(&game).start(start).churn(plan);
+                if with_scheduler {
+                    dynamics = dynamics.scheduler(&mut rr);
+                }
+                let err = dynamics.run().unwrap_err();
+                assert!(
+                    matches!(err, LearningError::InvalidStart { .. }),
+                    "{plan:?}, scheduler: {with_scheduler}: {err:?}"
+                );
+                assert!(err.to_string().starts_with("invalid start"));
+            }
+        }
     }
 
     #[test]
@@ -1451,44 +1372,23 @@ mod tests {
 
     #[test]
     fn builder_observes_the_incremental_engine() {
-        // The observer hook now also covers the scheduler-free loop; it
-        // must see every applied move in order.
+        // A step observer sees every move of the scheduler-free loop, in
+        // order.
         let game = Game::build(&[8, 5, 3, 2, 1, 1], &[9, 6, 2]).unwrap();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
         let mut trace = Vec::new();
+        let mut observe = |_: &Configuration, mv: Move| trace.push(mv);
         let outcome = Dynamics::new(&game)
             .start(&start)
             .options(LearningOptions {
                 record_path: true,
                 ..LearningOptions::default()
             })
-            .observer(&mut |_, mv| trace.push(mv))
+            .instrument(&mut observe)
             .run()
             .unwrap();
         assert!(outcome.converged);
         assert_eq!(trace, outcome.path);
-    }
-
-    #[test]
-    fn builder_and_wrappers_agree_on_every_scheduler() {
-        let game = Game::build(&[5, 3, 3, 2, 1], &[9, 4, 2]).unwrap();
-        let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        for kind in SchedulerKind::ALL {
-            let via_wrapper = run(
-                &game,
-                &start,
-                kind.build(7).as_mut(),
-                LearningOptions::default(),
-            )
-            .unwrap();
-            let via_builder = Dynamics::new(&game)
-                .start(&start)
-                .scheduler(kind.build(7).as_mut())
-                .run()
-                .unwrap();
-            assert_eq!(via_wrapper.steps, via_builder.steps, "{kind} diverged");
-            assert_eq!(via_wrapper.final_config, via_builder.final_config);
-        }
     }
 
     #[test]
@@ -1507,7 +1407,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         for seed in 0..10 {
             let start = goc_game::gen::random_config_restricted(&mut rng, &game);
-            let outcome = run(
+            let outcome = scheduled(
                 &game,
                 &start,
                 &mut UniformRandom::seeded(seed),

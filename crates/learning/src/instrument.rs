@@ -1,24 +1,21 @@
-//! [`Instrument`]: the unified observation API of the learning engine.
+//! [`Instrument`]: the one observation API of the learning engine.
 //!
-//! Before this trait, watching a run meant juggling two bespoke hooks —
-//! a raw `&mut dyn FnMut(&Configuration, Move)` observer *and* a
-//! separate [`CheckpointHook`] — and telemetry would have been a third.
-//! `Instrument` collapses them into one surface with default no-ops:
+//! Watching a run means implementing one trait with default no-ops:
 //!
 //! * [`Instrument::on_step`] — after every applied better-response
-//!   move, with the new configuration (the old observer callback);
+//!   move, with the new configuration;
 //! * [`Instrument::on_delta`] — after every applied churn delta;
 //! * [`Instrument::on_checkpoint`] — every
 //!   [`Instrument::checkpoint_every`] steps, with a [`Snapshot`] of the
-//!   tracker (the old [`CheckpointHook`] contract).
+//!   tracker.
 //!
 //! A blanket impl makes every `FnMut(&Configuration, Move)` closure an
-//! `Instrument`, so call sites written against the observer API compile
-//! unchanged through [`Dynamics::instrument`]; [`CheckpointHook`]
-//! implements the trait too. [`DynamicsTelemetry`] is the
-//! `goc-telemetry` binding — counters and a convergence-wall histogram
-//! registered on a shared [`Registry`] — and is *just another
-//! instrument*: the engine has exactly one watching seam.
+//! `Instrument`, so a step observer is just a closure passed to
+//! [`Dynamics::instrument`]; [`CheckpointHook`] implements the trait
+//! too. [`DynamicsTelemetry`] is the `goc-telemetry` binding — counters
+//! and a convergence-wall histogram registered on a shared
+//! [`Registry`] — and is *just another instrument*: the engine has
+//! exactly one watching seam.
 //!
 //! [`CheckpointHook`]: crate::dynamics::CheckpointHook
 //! [`Dynamics::instrument`]: crate::dynamics::Dynamics::instrument
@@ -31,8 +28,7 @@ use crate::dynamics::LearningOutcome;
 
 /// A watcher threaded through a learning run. All methods default to
 /// no-ops, so an instrument implements only what it cares about; the
-/// engine pays one virtual call per event either way (the same cost the
-/// old `&mut dyn FnMut` observer already paid).
+/// engine pays one virtual call per event either way.
 pub trait Instrument {
     /// Called after every applied better-response move, with the
     /// configuration *after* the move.
@@ -60,8 +56,7 @@ pub trait Instrument {
     }
 }
 
-/// Every step-observer closure is an instrument — the bridge that keeps
-/// the classic observer call sites compiling unchanged.
+/// Every step-observer closure is an instrument.
 impl<F: FnMut(&Configuration, Move)> Instrument for F {
     fn on_step(&mut self, config: &Configuration, mv: Move) {
         self(config, mv)
@@ -73,59 +68,6 @@ impl<F: FnMut(&Configuration, Move)> Instrument for F {
 pub struct NoInstrument;
 
 impl Instrument for NoInstrument {}
-
-fn gcd(a: usize, b: usize) -> usize {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-/// Fans one engine seam out to several instruments (the builder's
-/// legacy observer + checkpoint hook + a caller instrument can coexist).
-/// The engine snapshots at the gcd of the nonzero cadences; each part
-/// only hears the checkpoints on its own multiples.
-pub(crate) struct Fanout<'p> {
-    parts: Vec<&'p mut dyn Instrument>,
-}
-
-impl<'p> Fanout<'p> {
-    pub(crate) fn new(parts: Vec<&'p mut dyn Instrument>) -> Self {
-        Fanout { parts }
-    }
-}
-
-impl Instrument for Fanout<'_> {
-    fn on_step(&mut self, config: &Configuration, mv: Move) {
-        for part in &mut self.parts {
-            part.on_step(config, mv);
-        }
-    }
-
-    fn on_delta(&mut self, step: usize, delta: Delta) {
-        for part in &mut self.parts {
-            part.on_delta(step, delta);
-        }
-    }
-
-    fn checkpoint_every(&self) -> usize {
-        self.parts
-            .iter()
-            .map(|part| part.checkpoint_every())
-            .filter(|&every| every > 0)
-            .fold(0, gcd)
-    }
-
-    fn on_checkpoint(&mut self, step: usize, snapshot: &Snapshot) {
-        for part in &mut self.parts {
-            let every = part.checkpoint_every();
-            if every > 0 && step.is_multiple_of(every) {
-                part.on_checkpoint(step, snapshot);
-            }
-        }
-    }
-}
 
 /// The `goc-telemetry` binding of the engine: an [`Instrument`] whose
 /// events land in lock-free counters on a shared
@@ -240,7 +182,7 @@ impl Instrument for DynamicsTracing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamics::{CheckpointHook, Dynamics};
+    use crate::dynamics::Dynamics;
     use goc_game::{CoinId, Game};
 
     fn toy() -> (Game, Configuration) {
@@ -261,44 +203,6 @@ mod tests {
             .unwrap();
         assert!(outcome.converged);
         assert_eq!(seen, outcome.steps);
-    }
-
-    #[test]
-    fn fanout_routes_checkpoints_by_cadence() {
-        let (game, start) = toy();
-        let mut steps_a = Vec::new();
-        let mut steps_b = Vec::new();
-        let mut sink_a = |step: usize, _snap: Snapshot| steps_a.push(step);
-        let mut sink_b = |step: usize, _snap: Snapshot| steps_b.push(step);
-        let mut hook_a = CheckpointHook {
-            every: 2,
-            sink: &mut sink_a,
-        };
-        let mut hook_b = CheckpointHook {
-            every: 3,
-            sink: &mut sink_b,
-        };
-        let mut observed = 0usize;
-        let mut observer = |_: &Configuration, _: Move| observed += 1;
-        let outcome = {
-            let mut fan = Fanout::new(vec![
-                &mut observer as &mut dyn Instrument,
-                &mut hook_a,
-                &mut hook_b,
-            ]);
-            assert_eq!(fan.checkpoint_every(), 1, "gcd(2, 3)");
-            Dynamics::new(&game)
-                .start(&start)
-                .instrument(&mut fan)
-                .run()
-                .unwrap()
-        };
-        assert!(outcome.converged);
-        assert_eq!(observed, outcome.steps);
-        assert!(steps_a.iter().all(|s| s % 2 == 0));
-        assert!(steps_b.iter().all(|s| s % 3 == 0));
-        assert_eq!(steps_a.len(), outcome.steps / 2);
-        assert_eq!(steps_b.len(), outcome.steps / 3);
     }
 
     #[test]
@@ -389,13 +293,5 @@ mod tests {
         assert_eq!(outcome.steps, bare.steps);
         assert_eq!(outcome.final_config, bare.final_config);
         assert!(recorder.snapshot().events.is_empty());
-    }
-
-    #[test]
-    fn gcd_of_cadences() {
-        assert_eq!(gcd(2, 3), 1);
-        assert_eq!(gcd(4, 6), 2);
-        assert_eq!(gcd(0, 5), 5);
-        assert_eq!(gcd(5, 0), 5);
     }
 }

@@ -8,7 +8,8 @@
 //! ordinal-potential monotonicity along the way.
 //!
 //! Every run is assembled by the [`Dynamics`] builder — the single entry
-//! point; the classic `run*` functions are thin wrappers over it.
+//! point. [`run_with_churn`] and [`run_incremental_from`] are one-line
+//! builder calls kept for their narrow signatures.
 //!
 //! ```
 //! use goc_game::{CoinId, Configuration, Game};
@@ -37,8 +38,7 @@ pub mod simultaneous;
 pub mod stats;
 
 pub use dynamics::{
-    converge, run, run_incremental, run_incremental_from, run_incremental_with_churn,
-    run_with_churn, run_with_observer, CheckpointHook, ChurnEvent, ChurnPlan, Dynamics,
+    run_incremental_from, run_with_churn, CheckpointHook, ChurnEvent, ChurnPlan, Dynamics,
     LearningError, LearningOptions, LearningOutcome,
 };
 pub use instrument::{DynamicsTelemetry, DynamicsTracing, Instrument, NoInstrument};

@@ -9,7 +9,7 @@ use goc_game::{Configuration, Game};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::dynamics::{run, LearningOptions};
+use crate::dynamics::{Dynamics, LearningOptions};
 use crate::scheduler::SchedulerKind;
 
 /// Summary of step counts over a batch of learning runs.
@@ -93,7 +93,11 @@ pub fn convergence_trials(
     for i in 0..repeats {
         let start: Configuration = random_config(&mut rng, game.system());
         let mut sched = scheduler_kind.build(seed.wrapping_add(i as u64));
-        let outcome = run(game, &start, sched.as_mut(), options)
+        let outcome = Dynamics::new(game)
+            .start(&start)
+            .scheduler(sched.as_mut())
+            .options(options)
+            .run()
             .expect("bundled schedulers only return legal moves");
         obs.push((outcome.converged, outcome.steps));
     }

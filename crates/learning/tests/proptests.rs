@@ -2,7 +2,7 @@
 //! well-formedness, and scheduler contracts on generated games.
 
 use goc_game::{CoinId, Configuration, Game};
-use goc_learning::{run, LearningOptions, SchedulerKind};
+use goc_learning::{Dynamics, LearningOptions, SchedulerKind};
 use proptest::prelude::*;
 
 fn arb_game_and_start() -> impl Strategy<Value = (Game, Configuration)> {
@@ -34,12 +34,7 @@ proptest! {
     ) {
         let kind = SchedulerKind::ALL[kind_idx];
         let mut sched = kind.build(seed);
-        let outcome = run(
-            &game,
-            &start,
-            sched.as_mut(),
-            LearningOptions { record_path: true, ..LearningOptions::default() },
-        ).unwrap();
+        let outcome = Dynamics::new(&game).start(&start).scheduler(sched.as_mut()).options(LearningOptions { record_path: true, ..LearningOptions::default() }).run().unwrap();
         prop_assert!(outcome.converged);
 
         let mut config = start.clone();
@@ -58,7 +53,7 @@ proptest! {
     #[test]
     fn no_regrets_at_convergence((game, start) in arb_game_and_start(), seed in 0u64..100) {
         let mut sched = SchedulerKind::UniformRandom.build(seed);
-        let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default()).unwrap();
+        let outcome = Dynamics::new(&game).start(&start).scheduler(sched.as_mut()).run().unwrap();
         let masses = outcome.final_config.masses(game.system());
         for p in game.system().miner_ids() {
             prop_assert!(game.better_responses(p, &outcome.final_config, &masses).is_empty());
@@ -75,7 +70,7 @@ proptest! {
     ) {
         let kind = SchedulerKind::ALL[kind_idx];
         let mut sched = kind.build(0);
-        let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default()).unwrap();
+        let outcome = Dynamics::new(&game).start(&start).scheduler(sched.as_mut()).run().unwrap();
         let k = game.system().num_coins() as u128;
         let mut bound: u128 = 1;
         for _ in 0..game.system().num_miners() {

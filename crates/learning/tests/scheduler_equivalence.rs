@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use goc_game::{CoinId, Configuration, Game, MinerId, MoveSource};
-use goc_learning::{run, LearningOptions, SchedulerKind};
+use goc_learning::{Dynamics, LearningOptions, SchedulerKind};
 
 /// A random small game plus a random configuration.
 fn game_and_config() -> impl Strategy<Value = (Game, Configuration)> {
@@ -150,7 +150,7 @@ proptest! {
         }
     }
 
-    /// The engine (`run`) drives the incremental path; replaying its
+    /// The engine ([`Dynamics`]) drives the incremental path; replaying its
     /// recorded trajectory through an eager lockstep scheduler must
     /// reproduce it move for move.
     #[test]
@@ -161,16 +161,16 @@ proptest! {
     ) {
         let kind = SchedulerKind::ALL[kind_idx];
         let mut sched = kind.build(seed);
-        let outcome = run(
-            &game,
-            &start,
-            sched.as_mut(),
-            LearningOptions {
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(sched.as_mut())
+            .options(LearningOptions {
                 record_path: true,
                 audit_potential: true,
                 ..LearningOptions::default()
-            },
-        ).expect("bundled schedulers are legal");
+            })
+            .run()
+            .expect("bundled schedulers are legal");
         prop_assert!(outcome.converged);
         let mut eager = kind.build(seed);
         let mut s = start.clone();

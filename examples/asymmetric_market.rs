@@ -31,7 +31,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let start = Configuration::uniform(CoinId(2), game.system())?;
     for kind in SchedulerKind::ALL {
         let mut sched = kind.build(3);
-        let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default())?;
+        let outcome = Dynamics::new(&game)
+            .start(&start)
+            .scheduler(sched.as_mut())
+            .run()?;
         assert!(outcome.converged, "{kind} failed to converge");
         println!(
             "{kind:<22} converged in {:>3} steps to {}",
@@ -42,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Show the final allocation's per-coin revenue-per-unit: restricted
     // equilibria need NOT equalize RPUs across hardware classes.
     let mut sched = SchedulerKind::RoundRobin.build(0);
-    let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default())?;
+    let outcome = Dynamics::new(&game)
+        .start(&start)
+        .scheduler(sched.as_mut())
+        .run()?;
     let s = outcome.final_config;
     let masses = s.masses(game.system());
     println!("\nfinal allocation:");

@@ -22,16 +22,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Start with everyone on coin 0 and let miners improve in random order.
     let start = Configuration::uniform(CoinId(0), game.system())?;
     let mut sched = SchedulerKind::UniformRandom.build(42);
-    let outcome = run(
-        &game,
-        &start,
-        sched.as_mut(),
-        LearningOptions {
+    let outcome = Dynamics::new(&game)
+        .start(&start)
+        .scheduler(sched.as_mut())
+        .options(LearningOptions {
             record_path: true,
             audit_potential: true, // assert the ordinal potential increases
             ..LearningOptions::default()
-        },
-    )?;
+        })
+        .run()?;
     println!(
         "learning converged in {} steps to {} (stable: {})",
         outcome.steps,

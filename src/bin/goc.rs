@@ -42,7 +42,7 @@ use gameofcoins::design::{design, DesignOptions, DesignProblem};
 use gameofcoins::experiments::service::{registry_server, registry_server_traced};
 use gameofcoins::experiments::{self, RunContext, SweepSpec};
 use gameofcoins::game::{equilibrium, CoinId, Configuration, Game};
-use gameofcoins::learning::{run, LearningOptions, SchedulerKind};
+use gameofcoins::learning::{Dynamics, LearningOptions, SchedulerKind};
 use gameofcoins::proto::{Client, ReportPayload, Request, Response};
 use gameofcoins::server::{HttpExporter, ServerConfig};
 use gameofcoins::sim::scenario::{btc_bch, BtcBchParams, DAY};
@@ -465,16 +465,15 @@ fn cmd_learn(opts: &Options) -> Result<(), String> {
     let kind = opts.scheduler_kind()?;
     let start = Configuration::uniform(CoinId(0), game.system()).map_err(|e| e.to_string())?;
     let mut sched = kind.build(opts.seed);
-    let outcome = run(
-        &game,
-        &start,
-        sched.as_mut(),
-        LearningOptions {
+    let outcome = Dynamics::new(&game)
+        .start(&start)
+        .scheduler(sched.as_mut())
+        .options(LearningOptions {
             record_path: true,
             ..LearningOptions::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+        })
+        .run()
+        .map_err(|e| e.to_string())?;
     println!("start: {start}");
     for mv in &outcome.path {
         println!("  {mv}");

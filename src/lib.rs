@@ -40,7 +40,7 @@
 //!
 //! ```
 //! use gameofcoins::game::{equilibrium, Game};
-//! use gameofcoins::learning::{run, LearningOptions, SchedulerKind};
+//! use gameofcoins::learning::{Dynamics, SchedulerKind};
 //! use gameofcoins::design::{design, DesignOptions, DesignProblem};
 //!
 //! // Six miners with distinct powers over two coins (weights 17 vs 10).
@@ -50,7 +50,10 @@
 //! let start = gameofcoins::game::Configuration::uniform(
 //!     gameofcoins::game::CoinId(0), game.system())?;
 //! let mut sched = SchedulerKind::UniformRandom.build(7);
-//! let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default())?;
+//! let outcome = Dynamics::new(&game)
+//!     .start(&start)
+//!     .scheduler(sched.as_mut())
+//!     .run()?;
 //! assert!(outcome.converged);
 //!
 //! // … and a manipulator can steer the market between any two equilibria
@@ -87,9 +90,7 @@ pub mod prelude {
         equilibrium, potential, CoinId, Configuration, Game, GameError, MinerId, Ratio, Rewards,
         System,
     };
-    pub use goc_learning::{
-        converge, run, LearningOptions, LearningOutcome, Scheduler, SchedulerKind,
-    };
+    pub use goc_learning::{Dynamics, LearningOptions, LearningOutcome, Scheduler, SchedulerKind};
     pub use goc_market::{
         Gbm, Market, Price, ScheduledShock, WhaleBudget, WhaleInjection, WhalePlan,
     };

@@ -95,7 +95,10 @@ fn games_can_be_shared_across_threads() {
                 scope.spawn(move || {
                     let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
                     let mut sched = SchedulerKind::UniformRandom.build(seed);
-                    run(game, &start, sched.as_mut(), LearningOptions::default())
+                    Dynamics::new(game)
+                        .start(&start)
+                        .scheduler(sched.as_mut())
+                        .run()
                         .unwrap()
                         .steps
                 })

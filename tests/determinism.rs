@@ -3,7 +3,7 @@
 //! experiment harness depends on it.
 
 use gameofcoins::game::gen::{GameSpec, PowerDist, RewardDist};
-use gameofcoins::learning::{run, LearningOptions, SchedulerKind};
+use gameofcoins::learning::{Dynamics, LearningOptions, SchedulerKind};
 use gameofcoins::sim::scenario::{btc_bch, BtcBchParams};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -36,16 +36,15 @@ fn learning_paths_are_deterministic_per_seed() {
         let start = gameofcoins::game::gen::random_config(&mut rng, game.system());
         let run_once = || {
             let mut sched = kind.build(99);
-            run(
-                &game,
-                &start,
-                sched.as_mut(),
-                LearningOptions {
+            Dynamics::new(&game)
+                .start(&start)
+                .scheduler(sched.as_mut())
+                .options(LearningOptions {
                     record_path: true,
                     ..LearningOptions::default()
-                },
-            )
-            .unwrap()
+                })
+                .run()
+                .unwrap()
         };
         let a = run_once();
         let b = run_once();

@@ -5,7 +5,7 @@
 
 use gameofcoins::design::{design, DesignOptions, DesignProblem};
 use gameofcoins::game::{equilibrium, CoinId, Configuration};
-use gameofcoins::learning::{run, LearningOptions, SchedulerKind};
+use gameofcoins::learning::{Dynamics, SchedulerKind};
 use gameofcoins::sim::scenario::{btc_bch, BtcBchParams, DAY};
 
 /// Simulate a market, snapshot it into the exact game, and verify the
@@ -42,7 +42,11 @@ fn market_snapshot_agrees_with_game_model() {
 
     // Learning from the simulated state converges quickly.
     let mut sched = SchedulerKind::RoundRobin.build(0);
-    let outcome = run(&game, &config, sched.as_mut(), LearningOptions::default()).unwrap();
+    let outcome = Dynamics::new(&game)
+        .start(&config)
+        .scheduler(sched.as_mut())
+        .run()
+        .unwrap();
     assert!(outcome.converged);
     assert!(outcome.steps <= 6, "simulated state was far from stable");
 }
@@ -135,13 +139,11 @@ fn designed_equilibrium_is_self_sustaining() {
     // After reverting to the original rewards, every scheduler stays put.
     for kind in SchedulerKind::ALL {
         let mut sched = kind.build(1);
-        let after = run(
-            &game,
-            &outcome.final_config,
-            sched.as_mut(),
-            LearningOptions::default(),
-        )
-        .unwrap();
+        let after = Dynamics::new(&game)
+            .start(&outcome.final_config)
+            .scheduler(sched.as_mut())
+            .run()
+            .unwrap();
         assert_eq!(after.steps, 0, "{kind} moved from the designed equilibrium");
         assert_eq!(after.final_config, sf);
     }
@@ -155,7 +157,11 @@ fn learning_restores_coverage() {
     let clumped = Configuration::uniform(CoinId(1), game.system()).unwrap();
     for kind in SchedulerKind::ALL {
         let mut sched = kind.build(2);
-        let outcome = run(&game, &clumped, sched.as_mut(), LearningOptions::default()).unwrap();
+        let outcome = Dynamics::new(&game)
+            .start(&clumped)
+            .scheduler(sched.as_mut())
+            .run()
+            .unwrap();
         assert!(outcome.converged);
         let masses = outcome.final_config.masses(game.system());
         for c in game.system().coin_ids() {

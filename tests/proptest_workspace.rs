@@ -2,7 +2,7 @@
 
 use gameofcoins::chain::{Blockchain, ChainParams, DifficultyRule, FeeParams, SubsidySchedule};
 use gameofcoins::game::{CoinId, Configuration, Game};
-use gameofcoins::learning::{run, LearningOptions, SchedulerKind};
+use gameofcoins::learning::{Dynamics, SchedulerKind};
 use proptest::prelude::*;
 
 fn arb_game() -> impl Strategy<Value = Game> {
@@ -31,7 +31,7 @@ proptest! {
         use rand::SeedableRng;
         let start = gameofcoins::game::gen::random_config(&mut rng, game.system());
         let mut sched = kind.build(seed);
-        let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default()).unwrap();
+        let outcome = Dynamics::new(&game).start(&start).scheduler(sched.as_mut()).run().unwrap();
         prop_assert!(outcome.converged);
         prop_assert!(game.is_stable(&outcome.final_config));
     }
@@ -44,7 +44,7 @@ proptest! {
         let coin = CoinId(coin % game.system().num_coins());
         let start = Configuration::uniform(coin, game.system()).unwrap();
         let mut sched = SchedulerKind::RoundRobin.build(0);
-        let outcome = run(&game, &start, sched.as_mut(), LearningOptions::default()).unwrap();
+        let outcome = Dynamics::new(&game).start(&start).scheduler(sched.as_mut()).run().unwrap();
         prop_assert!(game.welfare(&outcome.final_config) >= game.welfare(&start));
     }
 

@@ -6,7 +6,7 @@
 use gameofcoins::design::{design, DesignOptions, DesignProblem};
 use gameofcoins::game::gen::{GameSpec, PowerDist, RewardDist};
 use gameofcoins::game::{assumptions, equilibrium, potential};
-use gameofcoins::learning::{run, LearningOptions, SchedulerKind};
+use gameofcoins::learning::{Dynamics, LearningOptions, SchedulerKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -29,16 +29,15 @@ fn theorem1_universal_convergence() {
         let start = gameofcoins::game::gen::random_config(&mut rng, game.system());
         for kind in SchedulerKind::ALL {
             let mut sched = kind.build(trial);
-            let outcome = run(
-                &game,
-                &start,
-                sched.as_mut(),
-                LearningOptions {
+            let outcome = Dynamics::new(&game)
+                .start(&start)
+                .scheduler(sched.as_mut())
+                .options(LearningOptions {
                     audit_potential: true,
                     ..LearningOptions::default()
-                },
-            )
-            .unwrap();
+                })
+                .run()
+                .unwrap();
             assert!(outcome.converged, "{kind} failed on trial {trial}");
             assert!(game.is_stable(&outcome.final_config));
         }
