@@ -87,7 +87,7 @@ impl fmt::Display for WorkerPanic {
 impl std::error::Error for WorkerPanic {}
 
 /// Stringifies a panic payload (the `Box<dyn Any>` from `catch_unwind`).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -23,7 +23,9 @@
 //! them); [`EnsembleReport::deterministic_json`] serializes exactly the
 //! thread-invariant part, which
 //! `crates/analysis/tests/ensemble_determinism.rs` pins across
-//! `threads ∈ {1, 2, 8}`.
+//! `threads ∈ {1, 2, 8}`, unobserved and with observation fully on.
+//! [`run_observed`] records on the caller's [`Observe`] handle; [`run`]
+//! is the same call over [`Observe::off`].
 
 pub mod aggregate;
 pub mod executor;
@@ -36,12 +38,12 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use goc_game::{gen::random_config, CoinId, Configuration, Game, MassTracker, Snapshot};
-use goc_learning::{ChurnPlan, Dynamics, SchedulerKind};
+use goc_learning::{ChurnPlan, Dynamics, DynamicsObserver, SchedulerKind};
 use goc_sim::fixtures::{scale_churn_base, scale_class_game};
 use goc_sim::{churn_timeline, churn_universe, stride_deltas, ChurnSpec, ScenarioSpec};
 
-use goc_telemetry::trace::{self, TraceEventKind, TraceLane, TraceRecorder};
-use goc_telemetry::Registry;
+use goc_telemetry::trace::{TraceEventKind, TraceLane};
+use goc_telemetry::Observe;
 
 use aggregate::{
     EquilibriumCensus, EquilibriumKey, FingerprintIndex, QuantileSketch, Welford, WelfordSummary,
@@ -358,13 +360,16 @@ fn churn_scenario(spec: &EnsembleSpec, churn: &ChurnSpec, seed: u64) -> Scenario
 /// time-zero tracker exactly and replay only their own timeline. The
 /// result is identical either way: a fork reproduces precisely the
 /// state a from-scratch rebuild constructs (the determinism proptests
-/// replay `None` against `Some` to pin this).
+/// replay `None` against `Some` to pin this). `observed` carries the
+/// replica's trace lane and the ensemble's dynamics observer; `None`
+/// runs the replica unobserved.
 fn replica_with(
     spec: &EnsembleSpec,
     shared: Option<&Snapshot>,
     index: usize,
-    lane: Option<&TraceLane>,
+    observed: Option<(&TraceLane, &DynamicsObserver)>,
 ) -> Result<ReplicaRecord, EnsembleError> {
+    let lane = observed.map(|(lane, _)| lane);
     let seed = replica_seed(spec.seed, index);
     let fail = |error: String| EnsembleError::Replica {
         replica: index,
@@ -441,7 +446,11 @@ fn replica_with(
     if let Some(sched) = sched.as_mut() {
         dynamics = dynamics.scheduler(sched.as_mut());
     }
-    let outcome = dynamics.run().map_err(|e| fail(e.to_string()))?;
+    let outcome = match observed {
+        Some((lane, observer)) => observer.run(dynamics, lane, index as u64),
+        None => dynamics.run(),
+    }
+    .map_err(|e| fail(e.to_string()))?;
     let activity = outcome.final_activity.as_ref();
     let (key, potential, welfare) = reduce_state(
         game,
@@ -462,12 +471,13 @@ fn replica_with(
     })
 }
 
-/// Runs a single replica standalone — the naive per-trajectory path the
-/// determinism proptest replays against [`run`]'s aggregate.
+/// Runs a single replica standalone and unobserved — the naive
+/// per-trajectory path the determinism proptest replays against
+/// [`run`]'s aggregate.
 ///
 /// # Errors
 ///
-/// As [`run`], for this replica only.
+/// As [`run_observed`], for this replica only.
 pub fn replica(spec: &EnsembleSpec, index: usize) -> Result<ReplicaRecord, EnsembleError> {
     spec.validate()?;
     replica_with(spec, None, index, None)
@@ -521,15 +531,12 @@ fn shared_snapshot(spec: &EnsembleSpec, lane: &TraceLane) -> Result<Option<Snaps
     }
 }
 
-/// Executes the ensemble on `threads` work-stealing workers and folds
-/// the replica records into an [`EnsembleReport`].
+/// [`run_observed`] over [`Observe::off`]: the ensemble with nothing
+/// watching.
 ///
 /// # Errors
 ///
-/// * [`EnsembleError::InvalidSpec`] for a degenerate spec;
-/// * [`EnsembleError::Replica`] when a replica's dynamics or churn
-///   lowering fail (smallest failing index);
-/// * [`EnsembleError::Panicked`] when a replica panicked.
+/// As [`run_observed`].
 ///
 /// # Examples
 ///
@@ -543,52 +550,44 @@ fn shared_snapshot(spec: &EnsembleSpec, lane: &TraceLane) -> Result<Option<Snaps
 /// # Ok::<(), goc_analysis::ensemble::EnsembleError>(())
 /// ```
 pub fn run(spec: &EnsembleSpec, threads: usize) -> Result<EnsembleReport, EnsembleError> {
-    run_recorded(spec, threads, &Registry::disabled())
+    run_observed(spec, threads, &Observe::off())
 }
 
-/// [`run`] with telemetry: executor scheduling counters
-/// ([`executor::ExecutorMetrics`] — replicas started / finished /
-/// stolen) and the `goc_ensemble_replica_wall_secs` histogram land on
-/// `registry`. The registry only ever sees wall-clock and scheduling
-/// facts — the [`EnsembleAggregate`] fold is untouched, so
+/// Executes the ensemble on `threads` work-stealing workers and folds
+/// the replica records into an [`EnsembleReport`], recording on
+/// `observe`:
+///
+/// * metrics — executor scheduling counters
+///   ([`executor::ExecutorMetrics`]: replicas started / finished /
+///   stolen), the `goc_ensemble_replica_wall_secs` histogram, and one
+///   [`DynamicsObserver`] shared by every replica (`goc_dynamics_*`);
+/// * trace — a coordinator lane spans the shared-snapshot
+///   encode/decode; each replica gets `replica_start`/`replica_finish`
+///   instants, a `snapshot_fork` span and a `dynamics_run` span
+///   (correlation = replica index) on a per-worker lane.
+///
+/// Observation only ever sees wall-clock and scheduling facts: the
+/// [`EnsembleAggregate`] fold is untouched, so
 /// [`EnsembleReport::deterministic_json`] is bit-identical with any
-/// registry (the determinism suite pins this).
+/// handle (the determinism suite pins this).
 ///
 /// # Errors
 ///
-/// As [`run`].
-pub fn run_recorded(
+/// * [`EnsembleError::InvalidSpec`] for a degenerate spec;
+/// * [`EnsembleError::Replica`] when a replica's dynamics or churn
+///   lowering fail (smallest failing index);
+/// * [`EnsembleError::Panicked`] when a replica panicked.
+pub fn run_observed(
     spec: &EnsembleSpec,
     threads: usize,
-    registry: &Registry,
-) -> Result<EnsembleReport, EnsembleError> {
-    run_traced(spec, threads, registry, trace::global())
-}
-
-/// [`run_recorded`] with flight-recorder tracing on `tracer`: a
-/// coordinator lane spans the shared-snapshot encode/decode, and each
-/// replica gets `replica_start`/`replica_finish` instants plus a
-/// `snapshot_fork` span (correlation = replica index) on a per-worker
-/// lane. Like the registry, the tracer only ever sees wall-clock facts
-/// — the deterministic aggregate is untouched, and on a disabled or
-/// standby recorder every event is a one-relaxed-load no-op.
-/// ([`run_recorded`] passes [`trace::global`], so `goc run --trace`
-/// lights this path up without any plumbing through [`EnsembleSpec`].)
-///
-/// # Errors
-///
-/// As [`run`].
-pub fn run_traced(
-    spec: &EnsembleSpec,
-    threads: usize,
-    registry: &Registry,
-    tracer: &TraceRecorder,
+    observe: &Observe,
 ) -> Result<EnsembleReport, EnsembleError> {
     spec.validate()?;
-    let metrics = ExecutorMetrics::register(registry);
-    let wall_hist = registry.histogram("goc_ensemble_replica_wall_secs");
+    let metrics = ExecutorMetrics::register(&observe.registry);
+    let wall_hist = observe.registry.histogram("goc_ensemble_replica_wall_secs");
+    let observer = DynamicsObserver::new(observe);
     let clock = Instant::now();
-    let coordinator = tracer.lane();
+    let coordinator = observe.tracer.lane();
     // One universe, encoded and decoded once; every replica forks the
     // decoded image instead of rebuilding its own (see `replica_with`).
     let shared = shared_snapshot(spec, &coordinator)
@@ -599,9 +598,9 @@ pub fn run_traced(
         |index| {
             // One lane per replica invocation; the recorder's free list
             // recycles them, so live lanes stay bounded by concurrency.
-            let lane = tracer.lane();
+            let lane = observe.tracer.lane();
             lane.instant(TraceEventKind::ReplicaStart, index as u64);
-            let result = replica_with(spec, shared.as_ref(), index, Some(&lane));
+            let result = replica_with(spec, shared.as_ref(), index, Some((&lane, &observer)));
             lane.instant(TraceEventKind::ReplicaFinish, index as u64);
             result
         },
@@ -659,6 +658,8 @@ pub fn run_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goc_telemetry::trace::TraceRecorder;
+    use goc_telemetry::Registry;
 
     #[test]
     fn spec_validation_names_the_problem() {
@@ -730,19 +731,23 @@ mod tests {
     #[test]
     fn telemetry_never_reaches_the_deterministic_report() {
         // The determinism guard: an enabled registry observes the run
-        // (scheduling counters + wall histogram) without perturbing the
-        // aggregate or leaking into `deterministic_json`.
+        // (scheduling counters, wall histogram, dynamics counters)
+        // without perturbing the aggregate or leaking into
+        // `deterministic_json`.
         let spec = EnsembleSpec::new(24, 10, 7);
         let bare = run(&spec, 2).unwrap();
-        let registry = Registry::new();
-        let recorded = run_recorded(&spec, 3, &registry).unwrap();
+        let observe = Observe {
+            registry: Registry::new(),
+            ..Observe::off()
+        };
+        let recorded = run_observed(&spec, 3, &observe).unwrap();
         assert_eq!(bare.aggregate, recorded.aggregate);
         assert_eq!(bare.deterministic_json(), recorded.deterministic_json());
         assert!(
             !recorded.deterministic_json().contains("goc_ensemble"),
             "metric names must not appear in the deterministic report"
         );
-        let snap = registry.snapshot();
+        let snap = observe.registry.snapshot();
         assert_eq!(
             snap.counter("goc_ensemble_replicas_started_total"),
             Some(10)
@@ -757,27 +762,39 @@ mod tests {
                 .count,
             10
         );
+        // Every replica's run lands once on the dynamics family.
+        assert_eq!(snap.counter("goc_dynamics_runs_total"), Some(10));
+        assert_eq!(snap.counter("goc_dynamics_converged_total"), Some(10));
+        assert_eq!(
+            snap.counter("goc_dynamics_steps_total"),
+            Some((recorded.aggregate.steps.mean * 10.0).round() as u64)
+        );
     }
 
     #[test]
     fn tracing_spans_the_snapshot_and_every_replica() {
         let spec = EnsembleSpec::new(24, 6, 13);
         let bare = run(&spec, 2).unwrap();
-        let tracer = TraceRecorder::new(4096);
-        let traced = run_traced(&spec, 3, &Registry::disabled(), &tracer).unwrap();
+        let observe = Observe {
+            tracer: TraceRecorder::new(4096),
+            ..Observe::off()
+        };
+        let traced = run_observed(&spec, 3, &observe).unwrap();
         assert_eq!(bare.aggregate, traced.aggregate, "tracing never perturbs");
-        let snap = tracer.snapshot();
+        let snap = observe.tracer.snapshot();
         assert_eq!(snap.dropped, 0);
         let count = |kind| snap.events.iter().filter(|e| e.kind == kind).count();
         // One encode and one decode span (begin + end each)...
         assert_eq!(count(TraceEventKind::SnapshotEncode), 2);
         assert_eq!(count(TraceEventKind::SnapshotDecode), 2);
-        // ...and per replica: start/finish instants plus a fork span.
+        // ...and per replica: start/finish instants plus a fork span
+        // and a dynamics span.
         assert_eq!(count(TraceEventKind::ReplicaStart), spec.replicas);
         assert_eq!(count(TraceEventKind::ReplicaFinish), spec.replicas);
         assert_eq!(count(TraceEventKind::SnapshotFork), 2 * spec.replicas);
+        assert_eq!(count(TraceEventKind::DynamicsRun), 2 * spec.replicas);
         // Every replica index appears as a complete start → fork →
-        // finish timeline on one lane.
+        // dynamics → finish timeline on one lane.
         for index in 0..spec.replicas as u64 {
             let timeline = snap.timeline(index);
             let kinds: Vec<TraceEventKind> = timeline.iter().map(|e| e.kind).collect();
@@ -787,6 +804,8 @@ mod tests {
                     TraceEventKind::ReplicaStart,
                     TraceEventKind::SnapshotFork,
                     TraceEventKind::SnapshotFork,
+                    TraceEventKind::DynamicsRun,
+                    TraceEventKind::DynamicsRun,
                     TraceEventKind::ReplicaFinish,
                 ],
                 "replica {index}"

@@ -4,7 +4,9 @@
 //!    seed) produces a bit-identical [`EnsembleAggregate`] across
 //!    `threads ∈ {1, 2, 8}`: replica seeds are a pure function of
 //!    `(root, index)` and the fold runs in replica order, so the worker
-//!    count can only change wall-clock, never results.
+//!    count can only change wall-clock, never results. Observation is
+//!    one more input that must not matter: with metrics and tracing
+//!    fully on, the deterministic report is byte-identical.
 //! 2. **Fingerprint-index fidelity** — on small games, the equilibrium
 //!    census must agree exactly with a *naive* per-replica replay:
 //!    collect every converged replica's full per-coin mass vector,
@@ -19,8 +21,10 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 
 use goc_analysis::ensemble::aggregate::EquilibriumKey;
-use goc_analysis::ensemble::{replica, run, EnsembleSpec};
+use goc_analysis::ensemble::{replica, run, run_observed, EnsembleSpec};
 use goc_learning::SchedulerKind;
+use goc_telemetry::trace::{TraceRecorder, DEFAULT_LANE_CAPACITY};
+use goc_telemetry::{Observe, Registry};
 
 /// A small random ensemble spec: population, replica count, root seed,
 /// and a scheduler choice (index 0 = the scheduler-free incremental
@@ -85,6 +89,16 @@ proptest! {
                 threads
             );
             prop_assert_eq!(base.deterministic_json(), other.deterministic_json());
+        }
+        // Fully observed runs fold to the same bytes as the unobserved
+        // one, at every thread count.
+        for threads in [1usize, 2, 8] {
+            let observe = Observe {
+                registry: Registry::new(),
+                tracer: TraceRecorder::new(DEFAULT_LANE_CAPACITY),
+            };
+            let observed = run_observed(&spec, threads, &observe).expect("ensemble runs");
+            prop_assert_eq!(base.deterministic_json(), observed.deterministic_json());
         }
         // The sketch/Welford layers describe exactly the replicas run.
         prop_assert_eq!(base.aggregate.replicas, spec.replicas);

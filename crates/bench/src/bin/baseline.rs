@@ -34,15 +34,12 @@
 //!   `fork_at` (the population fork the ensemble engine performs per
 //!   replica; best of two batches each);
 //! * **telemetry steps/sec** — the dynamics workload again, but run
-//!   through the `Dynamics` builder with a live `DynamicsTelemetry` on
-//!   an enabled registry, gating the cost of per-step/per-delta
-//!   relaxed-atomic instrumentation;
-//! * **tracing steps/sec** — the dynamics workload once more, driven
-//!   through `DynamicsTracing` on an *enabled* flight recorder: every
-//!   step writes a timestamped record into the per-thread ring
-//!   (including the overwrite path once the ring wraps), gating the
-//!   recorder's cheap-when-on contract the same way `telemetry` gates
-//!   the metrics layer.
+//!   through the run-level `DynamicsObserver` on an enabled registry,
+//!   gating the cost of its per-run counter adds;
+//! * **tracing steps/sec** — the dynamics workload once more, through
+//!   the same observer on an *enabled* flight recorder (one
+//!   `dynamics_run` span per run), gating the recorder's cheap-when-on
+//!   contract the same way `telemetry` gates the metrics layer.
 //!
 //! **Check mode** (`--check FILE [--tolerance T]`) is the CI perf gate:
 //! it re-measures the *same* workloads at the miner counts recorded in
@@ -74,12 +71,12 @@ use std::time::Instant;
 
 use goc_analysis::ensemble::{run as run_ensemble, EnsembleSpec};
 use goc_game::{CoinId, Configuration, MassTracker, Snapshot};
-use goc_learning::{ChurnPlan, Dynamics, DynamicsTelemetry, DynamicsTracing, SchedulerKind};
+use goc_learning::{ChurnPlan, Dynamics, DynamicsObserver, SchedulerKind};
 use goc_proto::{Client, ReportPayload, Request, Response};
 use goc_server::{EnsembleOnlyBackend, Server, ServerConfig};
 use goc_sim::fixtures::{scale_churn_scenario, scale_class_game, scale_cohort_scenario};
 use goc_telemetry::trace::{TraceRecorder, DEFAULT_LANE_CAPACITY};
-use goc_telemetry::Registry;
+use goc_telemetry::{Observe, Registry};
 use serde::{Deserialize, Serialize};
 
 /// Largest recorded miner count the gate will re-measure. Each miner
@@ -185,16 +182,18 @@ struct Baseline {
     /// Binary snapshot codec throughput (encode/decode/fork ops/sec;
     /// absent in pre-7 baselines).
     snapshot: Option<SnapshotBaseline>,
-    /// Instrumented dynamics: the `dynamics` workload run with a live
-    /// `DynamicsTelemetry` on an enabled registry, so every step and
-    /// churn delta ticks relaxed atomics (steps/sec; absent in pre-9
-    /// baselines). Gating it alongside `dynamics` keeps telemetry
-    /// overhead inside the same regression envelope as the bare engine.
+    /// Observed dynamics: the `dynamics` workload run through a
+    /// `DynamicsObserver` on an enabled registry, which adds each run's
+    /// numbers to the `goc_dynamics_*` counters (steps/sec; absent in
+    /// pre-9 baselines; through `BENCH_10.json` this layer ticked a
+    /// counter per step). Gating it alongside `dynamics` keeps telemetry overhead
+    /// inside the same regression envelope as the bare engine.
     telemetry: Option<LayerBaseline>,
-    /// Flight-recorded dynamics: the `dynamics` workload run with a
-    /// live `DynamicsTracing` on an *enabled* recorder, so every step
-    /// writes a timestamped ring record — including the overwrite path
-    /// once the ring wraps (steps/sec; absent in pre-10 baselines).
+    /// Flight-recorded dynamics: the `dynamics` workload run through a
+    /// `DynamicsObserver` on an *enabled* recorder, which writes one
+    /// `dynamics_run` span per run (steps/sec; absent in pre-10
+    /// baselines; through `BENCH_10.json` this layer wrote a ring
+    /// record per step).
     tracing: Option<LayerBaseline>,
 }
 
@@ -391,40 +390,26 @@ fn snapshot_baseline(n: usize, repeats: usize) -> SnapshotBaseline {
     }
 }
 
-fn telemetry_baseline(n: usize, repeats: usize) -> LayerBaseline {
-    // The telemetry hot-path contract, measured: the exact `dynamics`
-    // workload, but driven through the `Dynamics` builder with a live
-    // `DynamicsTelemetry` attached to an *enabled* registry — every
-    // step and delta is a relaxed-atomic increment. The recorded
-    // steps/sec is gated like any other layer, so instrumentation
-    // cannot silently grow a lock or an allocation per event.
+/// The exact `dynamics` workload, but run through a [`DynamicsObserver`]
+/// on `observe`: one `dynamics_run` span and the `goc_dynamics_*`
+/// counter adds per run. The recorded steps/sec is gated like any other
+/// layer, so run-level observation cannot silently grow per-step work.
+fn observed_baseline(n: usize, repeats: usize, observe: &Observe) -> LayerBaseline {
     let game = scale_class_game(n);
     let start = Configuration::uniform(CoinId(0), game.system()).expect("valid start");
-    let registry = Registry::new();
+    let observer = DynamicsObserver::new(observe);
+    let lane = observe.tracer.lane();
     let mut best = f64::INFINITY;
     let mut steps = 0usize;
     for _ in 0..repeats {
-        let mut telemetry = DynamicsTelemetry::register(&registry);
         let clock = Instant::now();
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .instrument(&mut telemetry)
-            .run()
-            .expect("instrumented dynamics converge");
-        let wall = clock.elapsed().as_secs_f64();
-        assert!(outcome.converged, "instrumented dynamics did not converge");
-        telemetry.observe_run(&outcome, wall);
-        best = best.min(wall);
+        let outcome = observer
+            .run(Dynamics::new(&game).start(&start), &lane, 0)
+            .expect("observed dynamics converge");
+        best = best.min(clock.elapsed().as_secs_f64());
+        assert!(outcome.converged, "observed dynamics did not converge");
         steps = outcome.steps;
     }
-    // Deterministic dynamics: every repeat walks the same steps, and
-    // the registry (shared across repeats by metric name) must have
-    // counted all of them.
-    assert_eq!(
-        registry.snapshot().counter("goc_dynamics_steps_total"),
-        Some((steps * repeats) as u64),
-        "telemetry missed steps"
-    );
     LayerBaseline {
         miners: n,
         work: steps as u64,
@@ -433,48 +418,44 @@ fn telemetry_baseline(n: usize, repeats: usize) -> LayerBaseline {
     }
 }
 
+fn telemetry_baseline(n: usize, repeats: usize) -> LayerBaseline {
+    // The metrics half of the observer, on an *enabled* registry.
+    let observe = Observe {
+        registry: Registry::new(),
+        ..Observe::off()
+    };
+    let layer = observed_baseline(n, repeats, &observe);
+    // Deterministic dynamics: every repeat walks the same steps, and
+    // the registry (shared across repeats by metric name) must have
+    // counted all of them.
+    assert_eq!(
+        observe
+            .registry
+            .snapshot()
+            .counter("goc_dynamics_steps_total"),
+        Some(layer.work * repeats as u64),
+        "telemetry missed steps"
+    );
+    layer
+}
+
 fn tracing_baseline(n: usize, repeats: usize) -> LayerBaseline {
-    // The flight recorder's cheap-when-on contract, measured: the exact
-    // `dynamics` workload driven through `DynamicsTracing` on an
-    // *enabled* recorder at the default lane capacity — every step
-    // writes a timestamped record into the per-thread ring, and once
-    // the ring wraps every further write also bumps the dropped
-    // counter, so the recorded steps/sec covers the overwrite path the
-    // steady state lives in.
-    let game = scale_class_game(n);
-    let start = Configuration::uniform(CoinId(0), game.system()).expect("valid start");
-    let recorder = TraceRecorder::new(DEFAULT_LANE_CAPACITY);
-    let mut best = f64::INFINITY;
-    let mut steps = 0usize;
-    for _ in 0..repeats {
-        let mut tracing = DynamicsTracing::new(&recorder);
-        let clock = Instant::now();
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .instrument(&mut tracing)
-            .run()
-            .expect("traced dynamics converge");
-        let wall = clock.elapsed().as_secs_f64();
-        assert!(outcome.converged, "traced dynamics did not converge");
-        tracing.observe_run(&outcome);
-        best = best.min(wall);
-        steps = outcome.steps;
-    }
-    // Ring accounting is exact even under overwrite: every step record
-    // plus the one per-run reprobe instant was either retained or
-    // counted as dropped.
-    let snapshot = recorder.snapshot();
+    // The trace half of the observer, on an *enabled* recorder at the
+    // default lane capacity.
+    let observe = Observe {
+        tracer: TraceRecorder::new(DEFAULT_LANE_CAPACITY),
+        ..Observe::off()
+    };
+    let layer = observed_baseline(n, repeats, &observe);
+    // One span (begin + end) per run, each retained or counted as
+    // dropped.
+    let snapshot = observe.tracer.snapshot();
     assert_eq!(
         snapshot.events.len() as u64 + snapshot.dropped,
-        ((steps + 1) * repeats) as u64,
+        2 * repeats as u64,
         "the recorder lost records"
     );
-    LayerBaseline {
-        miners: n,
-        work: steps as u64,
-        wall_secs: best,
-        per_sec: steps as f64 / best.max(1e-9),
-    }
+    layer
 }
 
 fn server_baseline(n: usize, requests: usize, repeats: usize) -> LayerBaseline {

@@ -35,7 +35,7 @@
 
 use std::time::Instant;
 
-use goc_analysis::ensemble::{run as run_ensemble, EnsembleReport, EnsembleSpec};
+use goc_analysis::ensemble::{run_observed, EnsembleReport, EnsembleSpec};
 use goc_analysis::{RunReport, Table};
 
 use crate::{Experiment, RunContext};
@@ -50,16 +50,18 @@ const FLAGSHIP_BUDGET_SECS: f64 = 180.0;
 /// are actually available.
 const MIN_SPEEDUP: f64 = 2.0;
 
-/// Runs a spec or fails the report with a named check (the bundled
-/// fixtures cannot fail; this keeps a broken future edit diagnosable
-/// instead of panicking the whole registry run).
+/// Runs a spec on the context's `observe` handle or fails the report
+/// with a named check (the bundled fixtures cannot fail; this keeps a
+/// broken future edit diagnosable instead of panicking the whole
+/// registry run).
 fn run_or_flag(
     report: &mut RunReport,
+    ctx: &RunContext,
     label: &str,
     spec: &EnsembleSpec,
     threads: usize,
 ) -> Option<EnsembleReport> {
-    match run_ensemble(spec, threads) {
+    match run_observed(spec, threads, &ctx.observe) {
         Ok(result) => Some(result),
         Err(error) => {
             report.check(format!("{label}_runs"), false, error.to_string());
@@ -107,7 +109,7 @@ impl Experiment for Ensemble {
             "welfare",
             "masses",
         ]);
-        if let Some(result) = run_or_flag(&mut report, "census", &census_spec, threads) {
+        if let Some(result) = run_or_flag(&mut report, ctx, "census", &census_spec, threads) {
             let census = &result.aggregate.equilibria;
             for entry in &census.entries {
                 census_rows.row(vec![
@@ -180,6 +182,7 @@ impl Experiment for Ensemble {
                     let spec = EnsembleSpec::new(n, replicas, ctx.seed).with_scheduler(kind);
                     let Some(result) = run_or_flag(
                         &mut report,
+                        ctx,
                         &format!("{}_{n}x{replicas}", kind.name()),
                         &spec,
                         threads,
@@ -235,7 +238,7 @@ impl Experiment for Ensemble {
         }
         let runs: Vec<Option<EnsembleReport>> = counts
             .iter()
-            .map(|&t| run_or_flag(&mut report, "invariance", &invariance_spec, t))
+            .map(|&t| run_or_flag(&mut report, ctx, "invariance", &invariance_spec, t))
             .collect();
         if runs.iter().all(Option::is_some) {
             let jsons: Vec<String> = runs
@@ -269,7 +272,7 @@ impl Experiment for Ensemble {
             ctx.seed.wrapping_add(41),
         )
         .with_churn(turnover);
-        if let Some(result) = run_or_flag(&mut report, "churn", &churn_spec, threads) {
+        if let Some(result) = run_or_flag(&mut report, ctx, "churn", &churn_spec, threads) {
             report.check(
                 "churny_ensemble_converges_and_absorbs_lifecycle",
                 result.aggregate.converged == result.aggregate.replicas
@@ -299,7 +302,7 @@ impl Experiment for Ensemble {
         );
         let clock = Instant::now();
         if ctx.quick {
-            if let Some(result) = run_or_flag(&mut report, "flagship", &flagship, threads) {
+            if let Some(result) = run_or_flag(&mut report, ctx, "flagship", &flagship, threads) {
                 self.flagship_checks(
                     &mut report,
                     &flagship,
@@ -311,8 +314,8 @@ impl Experiment for Ensemble {
             // Full mode measures the same ensemble at 1 and 4 workers:
             // the aggregates must agree (determinism at scale) and the
             // wall-clock ratio is the reported parallel speedup.
-            let t1 = run_or_flag(&mut report, "flagship", &flagship, 1);
-            let t4 = run_or_flag(&mut report, "flagship", &flagship, 4);
+            let t1 = run_or_flag(&mut report, ctx, "flagship", &flagship, 1);
+            let t4 = run_or_flag(&mut report, ctx, "flagship", &flagship, 4);
             if let (Some(one), Some(four)) = (t1, t4) {
                 report.check(
                     "flagship_aggregate_identical_at_1_and_4_threads",

@@ -51,7 +51,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use goc_analysis::ensemble::{run as run_ensemble, EnsembleSpec};
+use goc_analysis::ensemble::{run_observed, EnsembleSpec};
 use goc_analysis::stats::LatencyStats;
 use goc_analysis::{RunReport, Table};
 use goc_proto::{
@@ -60,7 +60,7 @@ use goc_proto::{
 };
 use goc_server::{Backend, EnsembleOnlyBackend, Server, ServerConfig, ServerSummary};
 use goc_telemetry::trace::{TraceEventKind, TracePhase, TraceRecorder};
-use goc_telemetry::Registry;
+use goc_telemetry::{Observe, Registry};
 
 use crate::service::RegistryBackend;
 use crate::{Experiment, RunContext};
@@ -253,7 +253,7 @@ type BootedServer = (
 fn boot(config: ServerConfig, backend: Box<dyn Backend>) -> Result<BootedServer, String> {
     let server = Server::bind(config, backend).map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    let registry = server.registry();
+    let registry = server.observe().registry;
     let handle = std::thread::spawn(move || server.run().map_err(|e| e.to_string()));
     Ok((addr, registry, handle))
 }
@@ -333,6 +333,7 @@ impl Backend for GateBackend {
         &self,
         request: &ExperimentRequest,
         _threads: usize,
+        _observe: &Observe,
     ) -> Result<RunReport, String> {
         if request.experiment != "hold" {
             return Err(format!("unknown experiment `{}`", request.experiment));
@@ -351,6 +352,7 @@ impl Backend for GateBackend {
         &self,
         _runs: &[ExperimentRequest],
         _threads: usize,
+        _observe: &Observe,
         _progress: &mut dyn FnMut(usize, usize),
     ) -> Result<Vec<RunReport>, String> {
         Err("no sweeps behind the gate".to_string())
@@ -578,7 +580,10 @@ impl Serve {
         match Client::connect(addr)
             .and_then(|mut c| c.request(Request::RunEnsemble { spec: spec.clone() }))
         {
-            Ok(reply) => match (reply.report(), run_ensemble(&spec, ctx.threads.max(1))) {
+            Ok(reply) => match (
+                reply.report(),
+                run_observed(&spec, ctx.threads.max(1), &ctx.observe),
+            ) {
                 (Some(ReportPayload::Ensemble(wire)), Ok(local)) => {
                     let wire_json = wire.deterministic_json();
                     let local_json = local.deterministic_json();
@@ -912,7 +917,11 @@ impl Serve {
             threads: 1,
             ..ServerConfig::default()
         };
-        let server = match crate::service::registry_server_traced(config, tracer.clone()) {
+        let observe = Observe {
+            registry: Registry::new(),
+            tracer: tracer.clone(),
+        };
+        let server = match crate::service::registry_server(config, observe) {
             Ok(server) => server,
             Err(e) => {
                 report.check(CHECK, false, e.to_string());

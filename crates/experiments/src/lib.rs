@@ -45,13 +45,14 @@
 use std::path::{Path, PathBuf};
 
 use goc_analysis::{parallel_map, RunReport};
+use goc_telemetry::Observe;
 use serde::{Deserialize, Serialize};
 
 pub mod experiments;
 pub mod service;
 
 /// Shared inputs of an experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunContext {
     /// Seed offset folded into every internal RNG seed, so the same
     /// experiment can be replicated across seeds (`goc sweep`).
@@ -74,6 +75,11 @@ pub struct RunContext {
     /// quick). Set by `goc run ensemble --replicas N` and sweep spec
     /// files.
     pub replicas: Option<usize>,
+    /// Where the run's metrics and trace records go ([`Observe::off`]
+    /// by default). Experiments that run ensembles hand it on; `goc run
+    /// --trace` puts an enabled recorder here, and a server hands its
+    /// own handle to the experiments it runs.
+    pub observe: Observe,
 }
 
 impl Default for RunContext {
@@ -85,6 +91,7 @@ impl Default for RunContext {
             scheduler: None,
             turnover_pct: None,
             replicas: None,
+            observe: Observe::off(),
         }
     }
 }
@@ -235,6 +242,7 @@ pub fn sweep(spec: &SweepSpec, threads: usize) -> Result<Vec<RunReport>, String>
             scheduler: run.scheduler,
             turnover_pct: run.turnover_pct,
             replicas: run.replicas,
+            observe: Observe::off(),
         };
         find(&run.experiment).expect("validated above").run(&ctx)
     }))

@@ -12,6 +12,7 @@
 use goc_analysis::{try_parallel_map, RunReport};
 use goc_proto::ExperimentRequest;
 use goc_server::{Backend, Server, ServerConfig, ServerError};
+use goc_telemetry::Observe;
 
 use crate::{find, RunContext};
 
@@ -21,10 +22,11 @@ use crate::{find, RunContext};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RegistryBackend;
 
-/// Builds the [`RunContext`] a wire request describes. Sweep runs pin
-/// `threads` to 1 (the sweep itself is the parallelism — the same
-/// convention as [`crate::sweep`]); single runs get the server's pool.
-fn context_of(request: &ExperimentRequest, threads: usize) -> RunContext {
+/// Builds the [`RunContext`] a wire request describes, observed on the
+/// server's handle. Sweep runs pin `threads` to 1 (the sweep itself is
+/// the parallelism — the same convention as [`crate::sweep`]); single
+/// runs get the server's pool.
+fn context_of(request: &ExperimentRequest, threads: usize, observe: &Observe) -> RunContext {
     RunContext {
         seed: request.seed.unwrap_or(0),
         threads,
@@ -32,6 +34,7 @@ fn context_of(request: &ExperimentRequest, threads: usize) -> RunContext {
         scheduler: request.scheduler,
         turnover_pct: request.turnover_pct,
         replicas: request.replicas,
+        observe: observe.clone(),
     }
 }
 
@@ -44,16 +47,18 @@ impl Backend for RegistryBackend {
         &self,
         request: &ExperimentRequest,
         threads: usize,
+        observe: &Observe,
     ) -> Result<RunReport, String> {
         let experiment = find(&request.experiment)
             .ok_or_else(|| format!("unknown experiment `{}`", request.experiment))?;
-        Ok(experiment.run(&context_of(request, threads.max(1))))
+        Ok(experiment.run(&context_of(request, threads.max(1), observe)))
     }
 
     fn sweep(
         &self,
         runs: &[ExperimentRequest],
         threads: usize,
+        observe: &Observe,
         progress: &mut dyn FnMut(usize, usize),
     ) -> Result<Vec<RunReport>, String> {
         // Validate every name up front so a miss never reaches the
@@ -73,7 +78,7 @@ impl Backend for RegistryBackend {
             let batch = try_parallel_map(chunk, threads, |run| {
                 find(&run.experiment)
                     .expect("validated above")
-                    .run(&context_of(run, 1))
+                    .run(&context_of(run, 1, observe))
             })
             .map_err(|e| e.to_string())?;
             reports.extend(batch);
@@ -84,28 +89,14 @@ impl Backend for RegistryBackend {
 }
 
 /// Binds a server backed by the full experiment registry — the
-/// production configuration behind `goc serve`.
+/// production configuration behind `goc serve` — recording on
+/// `observe` (see [`Server::bind_observed`]).
 ///
 /// # Errors
 ///
 /// As [`Server::bind`]: a degenerate config or an unbindable address.
-pub fn registry_server(config: ServerConfig) -> Result<Server, ServerError> {
-    Server::bind(config, Box::new(RegistryBackend))
-}
-
-/// [`registry_server`] with a caller-owned flight recorder: session
-/// spans and backend compute land on `tracer`, so `goc serve --trace`
-/// (and the `serve` experiment's timeline check) can drain the recorder
-/// after the server stops.
-///
-/// # Errors
-///
-/// As [`Server::bind`]: a degenerate config or an unbindable address.
-pub fn registry_server_traced(
-    config: ServerConfig,
-    tracer: goc_telemetry::trace::TraceRecorder,
-) -> Result<Server, ServerError> {
-    Server::bind_traced(config, Box::new(RegistryBackend), tracer)
+pub fn registry_server(config: ServerConfig, observe: Observe) -> Result<Server, ServerError> {
+    Server::bind_observed(config, Box::new(RegistryBackend), observe)
 }
 
 #[cfg(test)]
@@ -125,12 +116,12 @@ mod tests {
     fn backend_runs_experiments_and_names_misses() {
         let backend = RegistryBackend;
         let report = backend
-            .run_experiment(&ExperimentRequest::quick("prop1"), 2)
+            .run_experiment(&ExperimentRequest::quick("prop1"), 2, &Observe::off())
             .unwrap();
         assert_eq!(report.experiment, "prop1");
         assert!(report.passed());
         let miss = backend
-            .run_experiment(&ExperimentRequest::quick("nonsense"), 2)
+            .run_experiment(&ExperimentRequest::quick("nonsense"), 2, &Observe::off())
             .unwrap_err();
         assert!(miss.contains("nonsense"));
     }
@@ -145,13 +136,20 @@ mod tests {
         ];
         let mut ticks: Vec<(usize, usize)> = Vec::new();
         let reports = backend
-            .sweep(&runs, 2, &mut |done, total| ticks.push((done, total)))
+            .sweep(&runs, 2, &Observe::off(), &mut |done, total| {
+                ticks.push((done, total))
+            })
             .unwrap();
         let names: Vec<&str> = reports.iter().map(|r| r.experiment.as_str()).collect();
         assert_eq!(names, vec!["prop1", "appendix_b", "prop2"]);
         assert_eq!(ticks.last(), Some(&(3, 3)));
         assert!(ticks.iter().all(|&(done, total)| done <= total));
-        let bad = backend.sweep(&[ExperimentRequest::quick("nope")], 2, &mut |_, _| {});
+        let bad = backend.sweep(
+            &[ExperimentRequest::quick("nope")],
+            2,
+            &Observe::off(),
+            &mut |_, _| {},
+        );
         assert!(bad.unwrap_err().contains("nope"));
     }
 }

@@ -657,10 +657,10 @@ impl<'g, 'a> Dynamics<'g, 'a> {
     /// per-step, per-delta, and periodic-checkpoint callbacks in one
     /// trait (see [`Instrument`]). Closures of the shape
     /// `FnMut(&Configuration, Move)` are instruments via the blanket
-    /// impl, as is [`CheckpointHook`]; telemetry attaches the same way
-    /// ([`DynamicsTelemetry`]).
+    /// impl, as is [`CheckpointHook`]. Run-level metrics and tracing
+    /// wrap the run instead ([`DynamicsObserver`]).
     ///
-    /// [`DynamicsTelemetry`]: crate::instrument::DynamicsTelemetry
+    /// [`DynamicsObserver`]: crate::instrument::DynamicsObserver
     pub fn instrument(mut self, instrument: &'a mut dyn Instrument) -> Self {
         self.instrument = Some(instrument);
         self

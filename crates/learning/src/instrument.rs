@@ -12,19 +12,21 @@
 //! A blanket impl makes every `FnMut(&Configuration, Move)` closure an
 //! `Instrument`, so a step observer is just a closure passed to
 //! [`Dynamics::instrument`]; [`CheckpointHook`] implements the trait
-//! too. [`DynamicsTelemetry`] is the `goc-telemetry` binding — counters
-//! and a convergence-wall histogram registered on a shared
-//! [`Registry`] — and is *just another instrument*: the engine has
-//! exactly one watching seam.
+//! too.
+//!
+//! Production observability is not an instrument: [`DynamicsObserver`]
+//! watches whole runs from an explicit [`Observe`] handle — one trace
+//! span and a handful of counter adds per run, nothing per step.
 //!
 //! [`CheckpointHook`]: crate::dynamics::CheckpointHook
-//! [`Dynamics::instrument`]: crate::dynamics::Dynamics::instrument
+
+use std::time::Instant;
 
 use goc_game::{Configuration, Delta, Move, Snapshot};
-use goc_telemetry::trace::{TraceEventKind, TraceLane, TraceRecorder};
-use goc_telemetry::{Counter, LatencyHistogram, Registry};
+use goc_telemetry::trace::{TraceEventKind, TraceLane};
+use goc_telemetry::{Counter, LatencyHistogram, Observe};
 
-use crate::dynamics::LearningOutcome;
+use crate::dynamics::{Dynamics, LearningError, LearningOutcome};
 
 /// A watcher threaded through a learning run. All methods default to
 /// no-ops, so an instrument implements only what it cares about; the
@@ -69,23 +71,20 @@ pub struct NoInstrument;
 
 impl Instrument for NoInstrument {}
 
-/// The `goc-telemetry` binding of the engine: an [`Instrument`] whose
-/// events land in lock-free counters on a shared
-/// [`Registry`], plus run-level observations
-/// ([`DynamicsTelemetry::observe_run`]) for the numbers only the caller
-/// knows — wall time, convergence, and the [`MoveSource`] decision
-/// cache's re-probe count carried on the outcome.
+/// The `goc-telemetry` binding of the engine: observes whole runs, not
+/// steps. [`DynamicsObserver::run`] wraps one run in a
+/// [`TraceEventKind::DynamicsRun`] span on the caller's lane and then
+/// adds the outcome's numbers into the shared `goc_dynamics_*`
+/// instruments.
 ///
-/// Registration is idempotent per registry (same names share the same
-/// atomics), so every replica or request can hold its own handle set
-/// and the totals still accumulate process-wide. On a
-/// [`Registry::disabled`] registry the handles are detached: the hot
-/// path still runs one relaxed atomic increment per event and nothing
-/// is retained or reported.
-///
-/// [`MoveSource`]: goc_game::MoveSource
-#[derive(Debug, Clone)]
-pub struct DynamicsTelemetry {
+/// Nothing happens per step: a 45k-step run would overflow a 4096-slot
+/// trace ring, and a counter bumped from every worker on every step
+/// would tax the engine loop. Build one observer per ensemble (or per
+/// caller) and share it by reference across worker threads; the
+/// instruments are relaxed atomics. Over [`Observe::off`] the counters
+/// are detached and the span is the disabled recorder's no-op branch.
+#[derive(Debug)]
+pub struct DynamicsObserver {
     steps: Counter,
     deltas: Counter,
     runs: Counter,
@@ -94,14 +93,16 @@ pub struct DynamicsTelemetry {
     wall: LatencyHistogram,
 }
 
-impl DynamicsTelemetry {
-    /// Registers the dynamics metric family on `registry`:
+impl DynamicsObserver {
+    /// Registers the dynamics metric family on `observe.registry`:
     /// `goc_dynamics_steps_total`, `goc_dynamics_churn_deltas_total`,
     /// `goc_dynamics_runs_total`, `goc_dynamics_converged_total`,
     /// `goc_dynamics_cache_reprobes_total`, and the
-    /// `goc_dynamics_convergence_secs` histogram.
-    pub fn register(registry: &Registry) -> Self {
-        DynamicsTelemetry {
+    /// `goc_dynamics_convergence_secs` histogram. Registration is
+    /// idempotent per registry, so totals accumulate process-wide.
+    pub fn new(observe: &Observe) -> Self {
+        let registry = &observe.registry;
+        DynamicsObserver {
             steps: registry.counter("goc_dynamics_steps_total"),
             deltas: registry.counter("goc_dynamics_churn_deltas_total"),
             runs: registry.counter("goc_dynamics_runs_total"),
@@ -111,71 +112,35 @@ impl DynamicsTelemetry {
         }
     }
 
-    /// Records the run-level numbers of a completed run: the run count,
-    /// whether it converged, the decision-cache re-probes its outcome
-    /// carries, and its wall time into the convergence histogram.
-    pub fn observe_run(&self, outcome: &LearningOutcome, wall_secs: f64) {
+    /// Runs `dynamics` inside a `dynamics_run` span on `lane` (with
+    /// `correlation`, e.g. the replica index), then records the run:
+    /// its steps, churn deltas and decision-cache re-probes, one run,
+    /// whether it converged, and its wall time. A failed run closes the
+    /// span and records nothing.
+    ///
+    /// # Errors
+    ///
+    /// The run's own [`LearningError`], unchanged.
+    pub fn run(
+        &self,
+        dynamics: Dynamics<'_, '_>,
+        lane: &TraceLane,
+        correlation: u64,
+    ) -> Result<LearningOutcome, LearningError> {
+        let clock = Instant::now();
+        let outcome = {
+            let _span = lane.span(TraceEventKind::DynamicsRun, correlation);
+            dynamics.run()?
+        };
+        self.steps.add(outcome.steps as u64);
+        self.deltas.add(outcome.churn_applied as u64);
         self.runs.inc();
         if outcome.converged {
             self.converged.inc();
         }
         self.reprobes.add(outcome.cache_reprobes);
-        self.wall.observe(wall_secs);
-    }
-}
-
-impl Instrument for DynamicsTelemetry {
-    fn on_step(&mut self, _config: &Configuration, _mv: Move) {
-        self.steps.inc();
-    }
-
-    fn on_delta(&mut self, _step: usize, _delta: Delta) {
-        self.deltas.inc();
-    }
-}
-
-/// The flight-recorder binding of the engine: an [`Instrument`] that
-/// writes one [`TraceEventKind::StepPick`] instant per applied move
-/// (correlation = the deviating miner) and one
-/// [`TraceEventKind::DeltaApply`] per churn delta (correlation = the
-/// step it fired at) onto its own single-writer lane, plus a run-level
-/// [`TraceEventKind::CacheReprobe`] instant carrying the decision
-/// cache's re-probe count ([`DynamicsTracing::observe_run`]).
-///
-/// Like [`DynamicsTelemetry`] on a disabled registry, tracing on a
-/// disabled (or standby) recorder costs one relaxed load per event —
-/// cheap enough to leave compiled into the engine.
-#[derive(Debug)]
-pub struct DynamicsTracing {
-    lane: TraceLane,
-}
-
-impl DynamicsTracing {
-    /// Opens a lane on `recorder` for this instrument (one writer, one
-    /// lane — create one `DynamicsTracing` per thread).
-    pub fn new(recorder: &TraceRecorder) -> Self {
-        DynamicsTracing {
-            lane: recorder.lane(),
-        }
-    }
-
-    /// Records the run-level trace of a completed run: a
-    /// [`TraceEventKind::CacheReprobe`] instant whose correlation is
-    /// the outcome's re-probe count.
-    pub fn observe_run(&self, outcome: &LearningOutcome) {
-        self.lane
-            .instant(TraceEventKind::CacheReprobe, outcome.cache_reprobes);
-    }
-}
-
-impl Instrument for DynamicsTracing {
-    fn on_step(&mut self, _config: &Configuration, mv: Move) {
-        self.lane
-            .instant(TraceEventKind::StepPick, mv.miner.0 as u64);
-    }
-
-    fn on_delta(&mut self, step: usize, _delta: Delta) {
-        self.lane.instant(TraceEventKind::DeltaApply, step as u64);
+        self.wall.observe_duration(clock.elapsed());
+        Ok(outcome)
     }
 }
 
@@ -184,6 +149,8 @@ mod tests {
     use super::*;
     use crate::dynamics::Dynamics;
     use goc_game::{CoinId, Game};
+    use goc_telemetry::trace::{TracePhase, TraceRecorder};
+    use goc_telemetry::Registry;
 
     fn toy() -> (Game, Configuration) {
         let game = Game::build(&[8, 5, 3, 2, 1, 1], &[7, 4, 2]).unwrap();
@@ -205,30 +172,73 @@ mod tests {
         assert_eq!(seen, outcome.steps);
     }
 
+    fn observed(observe: &Observe, correlation: u64) -> LearningOutcome {
+        let (game, start) = toy();
+        let observer = DynamicsObserver::new(observe);
+        let lane = observe.tracer.lane();
+        observer
+            .run(Dynamics::new(&game).start(&start), &lane, correlation)
+            .unwrap()
+    }
+
     #[test]
     fn telemetry_counts_steps_and_run_outcomes() {
-        let (game, start) = toy();
-        let registry = Registry::new();
-        let mut telemetry = DynamicsTelemetry::register(&registry);
-        let clock = std::time::Instant::now();
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .instrument(&mut telemetry)
-            .run()
-            .unwrap();
-        telemetry.observe_run(&outcome, clock.elapsed().as_secs_f64());
-        let snap = registry.snapshot();
+        let observe = Observe {
+            registry: Registry::new(),
+            tracer: TraceRecorder::disabled(),
+        };
+        let outcome = observed(&observe, 0);
+        assert!(outcome.converged);
+        let snap = observe.registry.snapshot();
         assert_eq!(
             snap.counter("goc_dynamics_steps_total"),
             Some(outcome.steps as u64)
         );
         assert_eq!(snap.counter("goc_dynamics_runs_total"), Some(1));
         assert_eq!(snap.counter("goc_dynamics_converged_total"), Some(1));
+        assert_eq!(snap.counter("goc_dynamics_churn_deltas_total"), Some(0));
         assert_eq!(
             snap.histogram("goc_dynamics_convergence_secs")
                 .unwrap()
                 .count,
             1
+        );
+        assert!(observe.tracer.snapshot().events.is_empty());
+    }
+
+    /// The run is traced as one `dynamics_run` span, however many moves
+    /// it took; the per-move count and the decision-cache re-probes ride
+    /// the same handle's counters.
+    #[test]
+    fn tracing_records_a_step_per_move_and_the_run_reprobes() {
+        let observe = Observe {
+            registry: Registry::new(),
+            tracer: TraceRecorder::new(64),
+        };
+        let outcome = observed(&observe, 5);
+        assert!(outcome.converged);
+        let snap = observe.registry.snapshot();
+        assert_eq!(
+            snap.counter("goc_dynamics_steps_total"),
+            Some(outcome.steps as u64)
+        );
+        assert_eq!(
+            snap.counter("goc_dynamics_cache_reprobes_total"),
+            Some(outcome.cache_reprobes)
+        );
+        let trace = observe.tracer.snapshot();
+        assert_eq!(trace.dropped, 0);
+        let shape: Vec<(TraceEventKind, TracePhase, u64)> = trace
+            .events
+            .iter()
+            .map(|e| (e.kind, e.phase, e.correlation))
+            .collect();
+        assert_eq!(
+            shape,
+            vec![
+                (TraceEventKind::DynamicsRun, TracePhase::Begin, 5),
+                (TraceEventKind::DynamicsRun, TracePhase::End, 5),
+            ]
         );
     }
 
@@ -236,62 +246,28 @@ mod tests {
     fn disabled_registry_telemetry_still_runs_the_engine_unchanged() {
         let (game, start) = toy();
         let bare = Dynamics::new(&game).start(&start).run().unwrap();
-        let registry = Registry::disabled();
-        let mut telemetry = DynamicsTelemetry::register(&registry);
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .instrument(&mut telemetry)
-            .run()
-            .unwrap();
-        telemetry.observe_run(&outcome, 0.001);
+        let observe = Observe::off();
+        let outcome = observed(&observe, 0);
         assert_eq!(outcome.steps, bare.steps);
         assert_eq!(outcome.final_config, bare.final_config);
-        assert!(registry.snapshot().counters.is_empty());
+        assert!(observe.registry.snapshot().counters.is_empty());
+        assert!(observe.tracer.snapshot().events.is_empty());
     }
 
-    #[test]
-    fn tracing_records_a_step_per_move_and_the_run_reprobes() {
-        use goc_telemetry::trace::{TraceEventKind, TracePhase, TraceRecorder};
-        let (game, start) = toy();
-        let recorder = TraceRecorder::new(4096);
-        let mut tracing = DynamicsTracing::new(&recorder);
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .instrument(&mut tracing)
-            .run()
-            .unwrap();
-        tracing.observe_run(&outcome);
-        let snap = recorder.snapshot();
-        assert_eq!(snap.dropped, 0);
-        let steps = snap
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::StepPick)
-            .count();
-        assert_eq!(steps, outcome.steps);
-        let reprobe = snap
-            .events
-            .iter()
-            .find(|e| e.kind == TraceEventKind::CacheReprobe)
-            .expect("observe_run records the re-probe count");
-        assert_eq!(reprobe.phase, TracePhase::Instant);
-        assert_eq!(reprobe.correlation, outcome.cache_reprobes);
-    }
-
+    /// A recorder is on or off from construction; one built disabled is
+    /// the dark case, here beside a live registry.
     #[test]
     fn tracing_on_a_standby_recorder_leaves_the_run_unchanged() {
         let (game, start) = toy();
         let bare = Dynamics::new(&game).start(&start).run().unwrap();
-        let recorder = goc_telemetry::trace::TraceRecorder::standby(64);
-        let mut tracing = DynamicsTracing::new(&recorder);
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .instrument(&mut tracing)
-            .run()
-            .unwrap();
-        tracing.observe_run(&outcome);
+        let observe = Observe {
+            registry: Registry::new(),
+            tracer: TraceRecorder::disabled(),
+        };
+        let outcome = observed(&observe, 3);
         assert_eq!(outcome.steps, bare.steps);
         assert_eq!(outcome.final_config, bare.final_config);
-        assert!(recorder.snapshot().events.is_empty());
+        assert_eq!(outcome.cache_reprobes, bare.cache_reprobes);
+        assert!(observe.tracer.snapshot().events.is_empty());
     }
 }

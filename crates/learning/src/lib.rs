@@ -41,7 +41,7 @@ pub use dynamics::{
     run_incremental_from, run_with_churn, CheckpointHook, ChurnEvent, ChurnPlan, Dynamics,
     LearningError, LearningOptions, LearningOutcome,
 };
-pub use instrument::{DynamicsTelemetry, DynamicsTracing, Instrument, NoInstrument};
+pub use instrument::{DynamicsObserver, Instrument, NoInstrument};
 pub use scheduler::{
     LargestMinerFirst, MaxGain, MinGain, RoundRobin, Scheduler, SchedulerError, SchedulerKind,
     SmallestMinerFirst, UniformRandom,

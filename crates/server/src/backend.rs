@@ -8,11 +8,14 @@
 //! `sweep::try_parallel_map`, and [`EnsembleOnlyBackend`] serves
 //! deployments (and tests) that only need ensemble/status traffic.
 //! `RunEnsemble` requests never reach the backend — the server lowers
-//! them onto [`goc_analysis::ensemble::run`] directly, which already
-//! rides the shared work-stealing executor.
+//! them onto [`goc_analysis::ensemble::run_observed`] directly, which
+//! already rides the shared work-stealing executor. Both backend calls
+//! receive the server's [`Observe`] handle, so the experiments they run
+//! record where the server does.
 
 use goc_analysis::RunReport;
 use goc_proto::ExperimentRequest;
+use goc_telemetry::Observe;
 
 /// Executes experiment requests on behalf of the server.
 ///
@@ -25,7 +28,8 @@ pub trait Backend: Send + Sync + 'static {
     /// work is queued).
     fn has_experiment(&self, name: &str) -> bool;
 
-    /// Runs one experiment to completion on up to `threads` workers.
+    /// Runs one experiment to completion on up to `threads` workers,
+    /// recording on `observe`.
     ///
     /// # Errors
     ///
@@ -35,6 +39,7 @@ pub trait Backend: Send + Sync + 'static {
         &self,
         request: &ExperimentRequest,
         threads: usize,
+        observe: &Observe,
     ) -> Result<RunReport, String>;
 
     /// Runs a validated sweep, reporting `(done, total)` after each
@@ -47,6 +52,7 @@ pub trait Backend: Send + Sync + 'static {
         &self,
         runs: &[ExperimentRequest],
         threads: usize,
+        observe: &Observe,
         progress: &mut dyn FnMut(usize, usize),
     ) -> Result<Vec<RunReport>, String>;
 }
@@ -67,6 +73,7 @@ impl Backend for EnsembleOnlyBackend {
         &self,
         request: &ExperimentRequest,
         _threads: usize,
+        _observe: &Observe,
     ) -> Result<RunReport, String> {
         Err(format!(
             "no experiment registry in this server (requested `{}`)",
@@ -78,6 +85,7 @@ impl Backend for EnsembleOnlyBackend {
         &self,
         _runs: &[ExperimentRequest],
         _threads: usize,
+        _observe: &Observe,
         _progress: &mut dyn FnMut(usize, usize),
     ) -> Result<Vec<RunReport>, String> {
         Err("no experiment registry in this server".to_string())

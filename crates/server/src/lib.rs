@@ -7,7 +7,7 @@
 //! only — the accept loop hands each client to one lightweight session
 //! thread; the *compute* parallelism stays where it already lives
 //! ([`goc_analysis::ensemble::executor`] via
-//! [`goc_analysis::ensemble::run`] and the [`Backend`]'s sweep
+//! [`goc_analysis::ensemble::run_observed`] and the [`Backend`]'s sweep
 //! lowering), so the server adds sessions, not a second thread pool.
 //!
 //! Production framing, in the spirit of the workspace's
@@ -31,11 +31,13 @@
 //!   draining: new sessions and new compute requests are refused with
 //!   [`RejectReason::Draining`], in-flight work runs to completion,
 //!   and [`Server::run`] returns a [`ServerSummary`].
-//! * **Observability** — every session lane of the flight recorder
-//!   carries the wire correlation id ([`Server::bind_traced`]), so a
-//!   drained trace reconstructs per-request timelines admit → compute
-//!   → reply; [`HttpExporter`] scrapes `/metrics`, `/healthz`, and
-//!   `/trace` over plain HTTP GET.
+//! * **Observability** — one [`goc_telemetry::Observe`] handle
+//!   ([`Server::bind_observed`]) collects the server's metrics and
+//!   request spans and is handed to every ensemble and backend call;
+//!   every session lane carries the wire correlation id, so a drained
+//!   trace reconstructs per-request timelines admit → compute → reply;
+//!   [`HttpExporter`] scrapes `/metrics`, `/healthz`, and `/trace` over
+//!   plain HTTP GET. A compute panic becomes a `Response::Error`.
 //!
 //! ```no_run
 //! use goc_server::{Server, ServerConfig};

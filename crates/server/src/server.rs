@@ -3,18 +3,20 @@
 
 use std::fmt;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use goc_analysis::ensemble;
+use goc_analysis::ensemble::executor::panic_message;
 use goc_proto::{
     Connection, ProtoError, RejectReason, ReportPayload, Request, Response, ResponseEnvelope,
     ServerStatus, PROTOCOL_VERSION,
 };
 use goc_telemetry::trace::{TraceEventKind, TraceLane, TraceRecorder};
-use goc_telemetry::{with_label, Registry};
+use goc_telemetry::{with_label, Observe, Registry};
 
 use crate::backend::Backend;
 use crate::config::{ConfigError, ServerConfig};
@@ -82,8 +84,9 @@ struct State {
     inflight: AtomicUsize,
     served: AtomicU64,
     rejected: AtomicU64,
-    registry: Registry,
-    tracer: TraceRecorder,
+    /// The server's metrics and flight recorder, handed on to every
+    /// ensemble and backend call it runs.
+    observe: Observe,
 }
 
 impl State {
@@ -100,7 +103,7 @@ impl State {
             draining: self.draining.load(Ordering::SeqCst),
             max_sessions: self.config.max_sessions,
             max_inflight: self.config.max_inflight,
-            metrics: wants_metrics.then(|| self.registry.snapshot()),
+            metrics: wants_metrics.then(|| self.observe.registry.snapshot()),
         }
     }
 
@@ -111,7 +114,8 @@ impl State {
     /// hold by construction.
     fn count_rejection(&self, reason: RejectReason) {
         self.rejected.fetch_add(1, Ordering::SeqCst);
-        self.registry
+        self.observe
+            .registry
             .counter(&with_label(
                 "goc_server_rejected_total",
                 "reason",
@@ -145,7 +149,7 @@ struct InflightGuard<'a>(&'a State);
 impl Drop for InflightGuard<'_> {
     fn drop(&mut self) {
         self.0.inflight.fetch_sub(1, Ordering::SeqCst);
-        self.0.registry.gauge("goc_server_inflight").dec();
+        self.0.observe.registry.gauge("goc_server_inflight").dec();
     }
 }
 
@@ -169,35 +173,40 @@ pub struct Server {
 impl Server {
     /// Validates the config and binds the listener (`addr` port 0
     /// picks an ephemeral port — read it back with
-    /// [`Server::local_addr`]).
+    /// [`Server::local_addr`]), with an enabled metrics registry and a
+    /// disabled flight recorder.
     ///
     /// # Errors
     ///
     /// [`ServerError::Config`] for a degenerate config,
     /// [`ServerError::Bind`] when the OS refuses the address.
     pub fn bind(config: ServerConfig, backend: Box<dyn Backend>) -> Result<Server, ServerError> {
-        Server::bind_traced(config, backend, TraceRecorder::disabled())
+        let observe = Observe {
+            registry: Registry::new(),
+            tracer: TraceRecorder::disabled(),
+        };
+        Server::bind_observed(config, backend, observe)
     }
 
-    /// [`Server::bind`] with a flight recorder: every session thread
-    /// writes request-correlated spans onto its own lane of `tracer` —
-    /// a `request_admit` instant when a compute request clears the
-    /// admission pipeline, a `request_serve` span around backend
-    /// compute + terminal reply, and a `request_reject` instant for
-    /// every named refusal, each carrying the wire envelope's
-    /// correlation id — so a drained recorder reconstructs per-request
-    /// timelines exactly. Backend ensembles trace onto the same
-    /// recorder (replica + snapshot spans). Pass
-    /// [`TraceRecorder::disabled`] (what [`Server::bind`] does) to keep
-    /// the whole layer a one-relaxed-load no-op.
+    /// [`Server::bind`] recording on the caller's `observe` handle.
+    /// Session metrics land on `observe.registry`. Every session thread
+    /// writes request-correlated spans onto its own lane of
+    /// `observe.tracer`: a `request_admit` instant when a compute
+    /// request clears the admission pipeline, a `request_serve` span
+    /// around backend compute + terminal reply, and a `request_reject`
+    /// instant for every named refusal, each carrying the wire
+    /// envelope's correlation id, so a drained recorder reconstructs
+    /// per-request timelines exactly. The same handle goes to every
+    /// ensemble and backend call, so their metrics and spans land
+    /// beside the server's.
     ///
     /// # Errors
     ///
     /// As [`Server::bind`].
-    pub fn bind_traced(
+    pub fn bind_observed(
         config: ServerConfig,
         backend: Box<dyn Backend>,
-        tracer: TraceRecorder,
+        observe: Observe,
     ) -> Result<Server, ServerError> {
         config.validate()?;
         let listener = TcpListener::bind(&config.addr).map_err(|e| ServerError::Bind {
@@ -210,9 +219,10 @@ impl Server {
         // Instruments register on first touch; touching the headline
         // ones here makes every exposition show them from zero rather
         // than having them pop into existence with the first event.
-        let registry = Registry::new();
+        let registry = &observe.registry;
         registry.counter("goc_server_sessions_total");
         registry.counter("goc_server_served_total");
+        registry.counter("goc_server_panics_total");
         registry.gauge("goc_server_inflight");
         Ok(Server {
             listener,
@@ -226,8 +236,7 @@ impl Server {
                 inflight: AtomicUsize::new(0),
                 served: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
-                registry,
-                tracer,
+                observe,
             }),
         })
     }
@@ -243,20 +252,13 @@ impl Server {
             .map_err(|e| ServerError::Io(e.to_string()))
     }
 
-    /// A handle onto the server's metrics registry. The handle shares
-    /// the server's instruments (the registry is a cheap `Arc` clone),
-    /// so it keeps reporting the final counters after [`Server::run`]
-    /// returns — the `serve` experiment and `goc serve --metrics` read
-    /// their post-drain expositions through it.
-    pub fn registry(&self) -> Registry {
-        self.state.registry.clone()
-    }
-
-    /// A handle onto the server's flight recorder (a cheap `Arc`
-    /// clone, like [`Server::registry`]) — drain it with
-    /// [`TraceRecorder::snapshot`] during or after [`Server::run`].
-    pub fn tracer(&self) -> TraceRecorder {
-        self.state.tracer.clone()
+    /// A handle onto the server's registry and flight recorder (cheap
+    /// `Arc` clones sharing the server's instruments and rings). It
+    /// keeps reporting after [`Server::run`] returns: the `serve`
+    /// experiment and `goc serve --metrics`/`--trace` read their
+    /// post-drain expositions and dumps through it.
+    pub fn observe(&self) -> Observe {
+        self.state.observe.clone()
     }
 
     /// Accepts sessions until a `Shutdown` request flips the server
@@ -297,6 +299,7 @@ impl Server {
                 continue;
             }
             self.state
+                .observe
                 .registry
                 .counter("goc_server_sessions_total")
                 .inc();
@@ -364,7 +367,7 @@ fn session(state: Arc<State>, stream: TcpStream) {
     let mut conn = Connection::with_max_frame(stream, state.config.max_frame_bytes);
     // One trace lane per session thread (the recorder's single-writer
     // unit); every record on it carries a wire correlation id.
-    let lane = state.tracer.lane();
+    let lane = state.observe.tracer.lane();
     let mut budget_used: u64 = 0;
     loop {
         let envelope = match conn.recv_request() {
@@ -439,7 +442,7 @@ fn session(state: Arc<State>, stream: TcpStream) {
             // Metrics is free like Status: the text exposition plus
             // the structured snapshot it was rendered from.
             Request::Metrics => {
-                let snapshot = state.registry.snapshot();
+                let snapshot = state.observe.registry.snapshot();
                 reply(
                     &mut conn,
                     id,
@@ -462,6 +465,7 @@ fn session(state: Arc<State>, stream: TcpStream) {
             request => handle_compute(&state, &mut conn, &lane, id, request, &mut budget_used),
         };
         state
+            .observe
             .registry
             .histogram(&with_label("goc_server_request_secs", "kind", kind))
             .observe_duration(start.elapsed());
@@ -524,7 +528,7 @@ fn handle_compute(
     }
     // Admitted: past every gate, in-flight slot held.
     lane.instant(TraceEventKind::RequestAdmit, id);
-    state.registry.gauge("goc_server_inflight").inc();
+    state.observe.registry.gauge("goc_server_inflight").inc();
     let _slot = InflightGuard(state);
     *budget_used += 1;
     reply(conn, id, Response::Accepted)?;
@@ -535,7 +539,11 @@ fn handle_compute(
     match execute(state, conn, id, &request) {
         Ok(payload) => {
             state.served.fetch_add(1, Ordering::SeqCst);
-            state.registry.counter("goc_server_served_total").inc();
+            state
+                .observe
+                .registry
+                .counter("goc_server_served_total")
+                .inc();
             reply(conn, id, Response::Report(payload))
         }
         Err(detail) => reply(conn, id, Response::Error { detail }),
@@ -627,8 +635,12 @@ fn admission_fault(state: &State, request: &Request) -> Option<(RejectReason, St
 }
 
 /// Lowers an admitted request onto the compute substrate: ensembles go
-/// straight to [`goc_analysis::ensemble::run`] (the work-stealing
-/// executor), experiments and sweeps through the injected [`Backend`].
+/// straight to [`goc_analysis::ensemble::run_observed`] (the
+/// work-stealing executor), experiments and sweeps through the injected
+/// [`Backend`]; all of them record on the server's [`Observe`] handle.
+/// A panic anywhere below is contained here: it becomes an `Error`
+/// naming the panic and ticks `goc_server_panics_total`, and the
+/// caller's guards release the in-flight slot as on any other exit.
 fn execute(
     state: &State,
     conn: &mut Connection<TcpStream>,
@@ -636,18 +648,15 @@ fn execute(
     request: &Request,
 ) -> Result<ReportPayload, String> {
     let threads = state.config.threads;
-    match request {
+    let observe = &state.observe;
+    let compute = AssertUnwindSafe(|| match request {
         Request::RunExperiment(run) => state
             .backend
-            .run_experiment(run, threads)
+            .run_experiment(run, threads, observe)
             .map(ReportPayload::Experiment),
-        Request::RunEnsemble { spec } => {
-            // Replica/snapshot spans land on the server's own recorder
-            // (registry stays out of it, exactly like `ensemble::run`).
-            ensemble::run_traced(spec, threads, &Registry::disabled(), &state.tracer)
-                .map(ReportPayload::Ensemble)
-                .map_err(|e| e.to_string())
-        }
+        Request::RunEnsemble { spec } => ensemble::run_observed(spec, threads, observe)
+            .map(ReportPayload::Ensemble)
+            .map_err(|e| e.to_string()),
         Request::Sweep { runs } => {
             let mut progress = |done: usize, total: usize| {
                 // A client gone mid-sweep surfaces at the terminal
@@ -657,13 +666,17 @@ fn execute(
             };
             state
                 .backend
-                .sweep(runs, threads, &mut progress)
+                .sweep(runs, threads, observe, &mut progress)
                 .map(ReportPayload::Sweep)
         }
         Request::Status | Request::Metrics | Request::Shutdown => {
             unreachable!("handled by the session loop")
         }
-    }
+    });
+    catch_unwind(compute).unwrap_or_else(|payload| {
+        observe.registry.counter("goc_server_panics_total").inc();
+        Err(format!("request panicked: {}", panic_message(payload)))
+    })
 }
 
 #[cfg(test)]
@@ -871,10 +884,28 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// The value of the unlabeled sample `name` in a text exposition.
+    fn sample(text: &str, name: &str) -> Option<u64> {
+        text.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+    }
+
     #[test]
     fn metrics_round_trip_with_live_counters() {
-        let (addr, handle) = boot(ServerConfig::default());
+        let server = Server::bind(ServerConfig::default(), Box::new(EnsembleOnlyBackend)).unwrap();
+        let addr = server.local_addr().unwrap();
+        let exporter = crate::HttpExporter::bind("127.0.0.1:0", server.observe()).unwrap();
+        let http_addr = exporter.local_addr().unwrap();
+        exporter.spawn();
+        let handle = std::thread::spawn(move || server.run().unwrap());
         let mut client = Client::connect(addr).unwrap();
+        // Plain `bind` still observes the ensembles it serves.
+        let spec = EnsembleSpec::new(16, 3, 5);
+        assert!(client
+            .request(Request::RunEnsemble { spec })
+            .unwrap()
+            .report()
+            .is_some());
         let reply = client.request(Request::Metrics).unwrap();
         let Some(ReportPayload::Metrics { text, snapshot }) = reply.report() else {
             panic!("expected a metrics report, got {:?}", reply.terminal());
@@ -890,6 +921,18 @@ mod tests {
             "the text exposition carries the live counter: {text}"
         );
         assert_eq!(snapshot.gauge("goc_server_inflight"), Some(0));
+        let mut scrape = TcpStream::connect(http_addr).unwrap();
+        std::io::Write::write_all(&mut scrape, b"GET /metrics HTTP/1.1\r\n\r\n").unwrap();
+        let mut http = String::new();
+        std::io::Read::read_to_string(&mut scrape, &mut http).unwrap();
+        for exposition in [text.as_str(), http.as_str()] {
+            assert_eq!(
+                sample(exposition, "goc_ensemble_replicas_finished_total"),
+                Some(3)
+            );
+            assert_eq!(sample(exposition, "goc_dynamics_runs_total"), Some(3));
+            assert!(sample(exposition, "goc_dynamics_steps_total") > Some(0));
+        }
         shutdown(addr);
         handle.join().unwrap();
     }
@@ -929,7 +972,7 @@ mod tests {
     fn drain_wake_ping_is_not_counted_and_ledgers_agree() {
         let server = Server::bind(ServerConfig::default(), Box::new(EnsembleOnlyBackend)).unwrap();
         let addr = server.local_addr().unwrap();
-        let registry = server.registry();
+        let registry = server.observe().registry;
         let handle = std::thread::spawn(move || server.run().unwrap());
         let mut client = Client::connect(addr).unwrap();
         let served = client
@@ -984,10 +1027,14 @@ mod tests {
     #[test]
     fn traced_requests_reconstruct_complete_timelines_by_correlation_id() {
         let tracer = TraceRecorder::new(4096);
-        let server = Server::bind_traced(
+        let observe = Observe {
+            tracer: tracer.clone(),
+            ..Observe::off()
+        };
+        let server = Server::bind_observed(
             ServerConfig::default(),
             Box::new(EnsembleOnlyBackend),
-            tracer.clone(),
+            observe,
         )
         .unwrap();
         let addr = server.local_addr().unwrap();

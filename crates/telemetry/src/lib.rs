@@ -25,6 +25,10 @@
 //!   value for the wire (`Request::Metrics` / `Status`), with a
 //!   Prometheus-style text exposition ([`MetricsSnapshot::render_text`])
 //!   for scrapers and humans.
+//! * [`Observe`] — the one observability handle: a [`Registry`] plus a
+//!   [`TraceRecorder`], passed explicitly to every layer that records
+//!   (ensemble, dynamics, server, backend, CLI). [`Observe::off`]
+//!   observes nothing.
 //!
 //! ```
 //! use goc_telemetry::Registry;
@@ -645,6 +649,29 @@ impl Registry {
     /// Renders the current state as a Prometheus-style text exposition.
     pub fn render_text(&self) -> String {
         self.snapshot().render_text()
+    }
+}
+
+/// The one observability handle: where a layer's metrics and trace
+/// records go. Both halves are cheap `Arc` clones, so the handle is
+/// passed by reference down a call and cloned into long-lived owners
+/// (a server, a run context). There is no global fallback: a layer
+/// records exactly what the caller's handle collects.
+#[derive(Debug, Clone)]
+pub struct Observe {
+    /// Metrics destination.
+    pub registry: Registry,
+    /// Flight-recorder destination.
+    pub tracer: TraceRecorder,
+}
+
+impl Observe {
+    /// Observes nothing: a disabled registry and a disabled recorder.
+    pub fn off() -> Self {
+        Observe {
+            registry: Registry::disabled(),
+            tracer: TraceRecorder::disabled(),
+        }
     }
 }
 

@@ -3,16 +3,16 @@
 //!
 //! Metrics ([`Registry`](crate::Registry)) answer *how much*; this
 //! module answers *what happened, in what order, and where the time
-//! went* inside one dynamics run, replica, or wire request. The design
-//! contract mirrors the metrics layer's cheap-when-off rule that
-//! `BENCH_9` pinned:
+//! went* inside one replica or wire request. The design contract
+//! mirrors the metrics layer's cheap-when-off rule that `BENCH_9`
+//! pinned:
 //!
-//! * **One relaxed load when disabled.** Every
-//!   [`TraceLane::instant`]/[`begin`](TraceLane::begin)/[`end`](TraceLane::end)
-//!   starts with a single `Relaxed` load of the enabled flag and
-//!   returns immediately when it is clear — no timestamp, no stores,
-//!   no branch beyond that one. Recording stays compiled into the hot
-//!   paths, exactly like the counters.
+//! * **One branch when disabled.** A recorder is on or off from
+//!   construction ([`TraceRecorder::new`] / [`TraceRecorder::disabled`]).
+//!   Every [`TraceLane::instant`]/[`begin`](TraceLane::begin)/[`end`](TraceLane::end)
+//!   starts with one load of that flag and returns immediately when it
+//!   is clear — no timestamp, no stores. Recording stays compiled into
+//!   the hot paths, exactly like the counters.
 //! * **Per-writer ring buffers.** A [`TraceLane`] is a single-writer
 //!   handle onto its own fixed-capacity ring (create one per thread;
 //!   the type is deliberately `!Sync`). Writes never lock: the lane
@@ -28,14 +28,16 @@
 //!   the recorder's creation [`Instant`] — wall-clock adjustments can
 //!   never reorder a timeline.
 //!
-//! Events are typed by the closed [`TraceEventKind`] enum — the engine
-//! (step pick / delta apply / cache re-probe), the ensemble layer
-//! (replica start/finish, snapshot encode/decode/fork), and the server
-//! (request admit/serve/reject) — and each carries a caller-chosen
-//! 64-bit correlation value. The server threads the wire envelope's
+//! Events are typed by the closed [`TraceEventKind`] enum — the
+//! ensemble layer (replica start/finish, the per-replica dynamics run,
+//! snapshot encode/decode/fork) and the server (request
+//! admit/serve/reject) — and each carries a caller-chosen 64-bit
+//! correlation value. The server threads the wire envelope's
 //! correlation id through every span it emits, so a per-request
 //! timeline (admission → compute → reply) reconstructs exactly from
-//! the drained records.
+//! the drained records. A recorder reaches those layers only as the
+//! `tracer` half of an explicit [`Observe`](crate::Observe) handle;
+//! there is no process-global recorder.
 //!
 //! Export is Chrome Trace Event Format JSON
 //! ([`TraceSnapshot::to_chrome_json`]): open the dump of
@@ -60,13 +62,12 @@
 
 use std::cell::Cell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Default ring capacity of one lane, in records. At 32 bytes per slot
-/// this is 128 KiB per writer — a few milliseconds of full-rate engine
-/// stepping, or thousands of request spans.
+/// this is 128 KiB per writer — thousands of request or replica spans.
 pub const DEFAULT_LANE_CAPACITY: usize = 4096;
 
 /// The closed vocabulary of trace events. Keeping it an enum (not
@@ -75,16 +76,13 @@ pub const DEFAULT_LANE_CAPACITY: usize = 4096;
 /// Chrome-trace event name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceEventKind {
-    /// The learning engine applied one better-response move.
-    StepPick,
-    /// The learning engine applied one churn delta.
-    DeltaApply,
-    /// Decision-cache re-probes of a run (correlation = the count).
-    CacheReprobe,
     /// An ensemble replica began (correlation = replica index).
     ReplicaStart,
     /// An ensemble replica finished (correlation = replica index).
     ReplicaFinish,
+    /// One replica's better-response dynamics run, start to outcome
+    /// (span; correlation = replica index).
+    DynamicsRun,
     /// Binary snapshot encode of the shared ensemble universe.
     SnapshotEncode,
     /// Binary snapshot decode (with full revalidation).
@@ -102,12 +100,10 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Every kind, in wire-code order (`kind as u64` indexes this).
-    pub const ALL: [TraceEventKind; 11] = [
-        TraceEventKind::StepPick,
-        TraceEventKind::DeltaApply,
-        TraceEventKind::CacheReprobe,
+    pub const ALL: [TraceEventKind; 9] = [
         TraceEventKind::ReplicaStart,
         TraceEventKind::ReplicaFinish,
+        TraceEventKind::DynamicsRun,
         TraceEventKind::SnapshotEncode,
         TraceEventKind::SnapshotDecode,
         TraceEventKind::SnapshotFork,
@@ -119,11 +115,9 @@ impl TraceEventKind {
     /// The snake_case event name (the Chrome-trace `name` field).
     pub fn name(self) -> &'static str {
         match self {
-            TraceEventKind::StepPick => "step_pick",
-            TraceEventKind::DeltaApply => "delta_apply",
-            TraceEventKind::CacheReprobe => "cache_reprobe",
             TraceEventKind::ReplicaStart => "replica_start",
             TraceEventKind::ReplicaFinish => "replica_finish",
+            TraceEventKind::DynamicsRun => "dynamics_run",
             TraceEventKind::SnapshotEncode => "snapshot_encode",
             TraceEventKind::SnapshotDecode => "snapshot_decode",
             TraceEventKind::SnapshotFork => "snapshot_fork",
@@ -184,7 +178,7 @@ pub struct TraceEvent {
     /// The lane (writer ring) that recorded it — the Chrome `tid`.
     pub lane: usize,
     /// Caller-chosen correlation value (wire envelope id, replica
-    /// index, re-probe count — see [`TraceEventKind`]).
+    /// index — see [`TraceEventKind`]).
     pub correlation: u64,
 }
 
@@ -223,7 +217,8 @@ struct LaneCore {
 
 #[derive(Debug)]
 struct RecorderInner {
-    enabled: AtomicBool,
+    /// Fixed at construction: a recorder is on or off for its life.
+    enabled: bool,
     capacity: usize,
     epoch: Instant,
     dropped: AtomicU64,
@@ -245,7 +240,7 @@ impl TraceRecorder {
     fn build(capacity: usize, enabled: bool) -> Self {
         TraceRecorder {
             inner: Arc::new(RecorderInner {
-                enabled: AtomicBool::new(enabled),
+                enabled,
                 capacity,
                 epoch: Instant::now(),
                 dropped: AtomicU64::new(0),
@@ -261,35 +256,16 @@ impl TraceRecorder {
         TraceRecorder::build(capacity.max(1), true)
     }
 
-    /// A recorder built at full capacity but not yet collecting — flip
-    /// it on later with [`enable`](TraceRecorder::enable). This is what
-    /// [`global`] hands out: lanes cost one relaxed load per event
-    /// until (unless) something enables the recorder.
-    pub fn standby(capacity: usize) -> Self {
-        TraceRecorder::build(capacity.max(1), false)
-    }
-
-    /// A permanently-dark recorder: zero-capacity lanes, so it records
-    /// nothing even if enabled. The tracing analogue of
+    /// A permanently-dark recorder: zero-capacity lanes that record
+    /// nothing. The tracing analogue of
     /// [`Registry::disabled`](crate::Registry::disabled).
     pub fn disabled() -> Self {
         TraceRecorder::build(0, false)
     }
 
-    /// Starts collecting. Lanes handed out before the flip record from
-    /// now on; nothing retroactive happens.
-    pub fn enable(&self) {
-        self.inner.enabled.store(true, Ordering::Relaxed);
-    }
-
     /// Whether the recorder is collecting.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Ring capacity of each lane, in records.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.inner.enabled
     }
 
     /// Exact count of records lost to ring overwrite so far.
@@ -380,17 +356,6 @@ impl TraceRecorder {
     }
 }
 
-/// The process-wide default recorder, created on standby at
-/// [`DEFAULT_LANE_CAPACITY`]. Layers that have no natural place to
-/// thread a recorder handle through (the ensemble engine under an
-/// arbitrary experiment) record here; `goc run --trace` / `goc serve
-/// --trace` enable it and dump it. Until something enables it, every
-/// event is the one-relaxed-load no-op.
-pub fn global() -> &'static TraceRecorder {
-    static GLOBAL: OnceLock<TraceRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| TraceRecorder::standby(DEFAULT_LANE_CAPACITY))
-}
-
 /// A single-writer handle onto one ring of a [`TraceRecorder`].
 ///
 /// Deliberately `!Sync` (and not `Clone`): exactly one thread writes a
@@ -444,14 +409,11 @@ impl TraceLane {
 
     #[inline]
     fn record(&self, kind: TraceEventKind, phase: TracePhase, correlation: u64) {
-        // The whole cost when disabled: this one relaxed load.
-        if !self.inner.enabled.load(Ordering::Relaxed) {
+        // The whole cost when disabled: this one load and branch.
+        if !self.inner.enabled {
             return;
         }
         let cap = self.core.slots.len() as u64;
-        if cap == 0 {
-            return; // a TraceRecorder::disabled() lane, enabled anyway
-        }
         let nanos = self.inner.epoch.elapsed().as_nanos() as u64;
         let head = self.core.head.load(Ordering::Relaxed);
         if head >= cap {
@@ -587,7 +549,7 @@ mod tests {
         let recorder = TraceRecorder::new(8);
         let lane = recorder.lane();
         for i in 0..20u64 {
-            lane.instant(TraceEventKind::StepPick, i);
+            lane.instant(TraceEventKind::ReplicaStart, i);
         }
         let snap = recorder.snapshot();
         assert_eq!(snap.events.len(), 8);
@@ -598,27 +560,14 @@ mod tests {
 
     #[test]
     fn disabled_and_standby_recorders_emit_nothing() {
-        for recorder in [TraceRecorder::disabled(), TraceRecorder::standby(8)] {
-            let lane = recorder.lane();
-            lane.instant(TraceEventKind::StepPick, 1);
-            let _span = lane.span(TraceEventKind::RequestServe, 2);
-            let snap = recorder.snapshot();
-            assert!(!snap.enabled);
-            assert!(snap.events.is_empty());
-            assert_eq!(snap.dropped, 0);
-        }
-    }
-
-    #[test]
-    fn standby_recorders_collect_after_enable() {
-        let recorder = TraceRecorder::standby(8);
+        let recorder = TraceRecorder::disabled();
         let lane = recorder.lane();
-        lane.instant(TraceEventKind::StepPick, 1); // dark
-        recorder.enable();
-        lane.instant(TraceEventKind::StepPick, 2);
+        lane.instant(TraceEventKind::ReplicaStart, 1);
+        let _span = lane.span(TraceEventKind::RequestServe, 2);
         let snap = recorder.snapshot();
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].correlation, 2);
+        assert!(!snap.enabled);
+        assert!(snap.events.is_empty());
+        assert_eq!(snap.dropped, 0);
     }
 
     #[test]
@@ -648,13 +597,5 @@ mod tests {
             assert_eq!(phase as u64, code);
         }
         assert_eq!(TracePhase::from_code(3), None);
-    }
-
-    #[test]
-    fn global_recorder_is_shared_and_starts_dark() {
-        let a = global();
-        let b = global();
-        assert!(Arc::ptr_eq(&a.inner, &b.inner));
-        assert_eq!(a.capacity(), DEFAULT_LANE_CAPACITY);
     }
 }

@@ -28,8 +28,9 @@
 //! to a running server and prints the streamed response frames.
 //!
 //! Flight recording: `goc run <exp> --trace FILE` and `goc serve
-//! --trace FILE` arm the process-global flight recorder and dump its
-//! retained window as Chrome Trace Event Format JSON (load it at
+//! --trace FILE` hand an enabled flight recorder to the run (inside the
+//! experiment's or the server's `Observe` handle) and dump its retained
+//! window as Chrome Trace Event Format JSON (load it at
 //! `chrome://tracing` or `ui.perfetto.dev`); `goc serve --http ADDR`
 //! additionally serves `GET /metrics`, `/healthz`, and `/trace` for
 //! scrapers.
@@ -39,7 +40,7 @@ use std::process::ExitCode;
 use gameofcoins::analysis::chart::{ascii_chart, Series};
 use gameofcoins::analysis::{fmt_f64, Table};
 use gameofcoins::design::{design, DesignOptions, DesignProblem};
-use gameofcoins::experiments::service::{registry_server, registry_server_traced};
+use gameofcoins::experiments::service::registry_server;
 use gameofcoins::experiments::{self, RunContext, SweepSpec};
 use gameofcoins::game::{equilibrium, CoinId, Configuration, Game};
 use gameofcoins::learning::{Dynamics, LearningOptions, SchedulerKind};
@@ -47,6 +48,8 @@ use gameofcoins::proto::{Client, ReportPayload, Request, Response};
 use gameofcoins::server::{HttpExporter, ServerConfig};
 use gameofcoins::sim::scenario::{btc_bch, BtcBchParams, DAY};
 use gameofcoins::sim::ScenarioSpec;
+use gameofcoins::telemetry::trace::{TraceRecorder, DEFAULT_LANE_CAPACITY};
+use gameofcoins::telemetry::{Observe, Registry};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -142,8 +145,8 @@ e.g. \"MinGain\", for experiments that sweep schedulers, or set
 Reports come back in input order regardless of completion order.
 A scenario spec for `goc simulate --spec` is a serialized
 `gameofcoins::sim::ScenarioSpec` (serialize a preset to start).
-`goc run <exp> --trace FILE` arms the flight recorder and dumps the
-run's spans as Chrome Trace Event Format JSON (chrome://tracing).
+`goc run <exp> --trace FILE` hands the run an enabled flight recorder
+and dumps its spans as Chrome Trace Event Format JSON (chrome://tracing).
 
 `goc serve` boots the Game-of-Coins service (see `goc serve --help`);
 `goc request` sends one JSON request to a running server (see
@@ -177,10 +180,11 @@ OPTIONS:
   --threads N        worker threads per compute request
   --metrics          print the final metrics exposition (Prometheus-style
                      text) after the drain summary
-  --trace FILE       arm the flight recorder; on drain, dump every
-                     retained span — request admission, serve spans,
-                     replica/snapshot work, all keyed by the wire
-                     correlation id — as Chrome Trace Event Format JSON
+  --trace FILE       record into an enabled flight recorder; on drain,
+                     dump every retained span — request admission and
+                     serve spans keyed by the wire correlation id, plus
+                     replica, snapshot and dynamics spans — as Chrome
+                     Trace Event Format JSON
   --http HOST:PORT   also serve GET /metrics (Prometheus text),
                      /healthz, and /trace (recorder JSON) over plain
                      HTTP — the scrape endpoint, printed as
@@ -391,14 +395,11 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         threads: opts
             .threads
             .unwrap_or_else(gameofcoins::analysis::default_threads),
+        observe: Observe {
+            tracer: recorder(opts.trace.is_some()),
+            ..Observe::off()
+        },
     };
-    // The flight recorder: experiments can't carry a tracer through
-    // the Copy/Serialize `RunContext`, so `--trace` arms the process-
-    // global recorder the engine's traced seams already write to.
-    let tracer = gameofcoins::telemetry::trace::global();
-    if opts.trace.is_some() {
-        tracer.enable();
-    }
     let report = experiment.run(&ctx);
     if opts.json {
         println!("{}", report.to_json());
@@ -409,7 +410,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
     }
     if let Some(path) = &opts.trace {
-        dump_trace(path, tracer)?;
+        dump_trace(path, &ctx.observe.tracer)?;
     }
     if report.passed() {
         Ok(())
@@ -569,26 +570,21 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
     };
     // `--trace` and `--http`'s `/trace` both need a live recorder;
     // without either the server keeps the free disabled one.
-    let tracing = opts.trace.is_some() || opts.http.is_some();
-    let server = if tracing {
-        let tracer = gameofcoins::telemetry::trace::global().clone();
-        tracer.enable();
-        registry_server_traced(config, tracer)
-    } else {
-        registry_server(config)
-    }
-    .map_err(|e| e.to_string())?;
+    let observe = Observe {
+        registry: Registry::new(),
+        tracer: recorder(opts.trace.is_some() || opts.http.is_some()),
+    };
+    // The handle outlives the server: with --metrics the final
+    // exposition prints after the drain summary, and --trace dumps the
+    // recorder after it.
+    let server = registry_server(config, observe.clone()).map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    // The registry handle outlives the server: with --metrics the
-    // final exposition prints after the drain summary.
-    let registry = opts.metrics.then(|| server.registry());
-    let tracer = server.tracer();
     println!(
         "goc-server listening on {addr} (protocol v{})",
         gameofcoins::proto::PROTOCOL_VERSION
     );
     if let Some(http_addr) = &opts.http {
-        let exporter = HttpExporter::bind(http_addr, server.registry(), server.tracer())
+        let exporter = HttpExporter::bind(http_addr, observe.clone())
             .map_err(|e| format!("cannot bind the HTTP exporter on {http_addr}: {e}"))?;
         let bound = exporter.local_addr().map_err(|e| e.to_string())?;
         exporter.spawn();
@@ -600,22 +596,29 @@ fn cmd_serve(opts: &Options) -> Result<(), String> {
         "drained: {} requests served, {} rejected by name",
         summary.served, summary.rejected
     );
-    if let Some(registry) = registry {
-        print!("{}", registry.render_text());
+    if opts.metrics {
+        print!("{}", observe.registry.render_text());
     }
     if let Some(path) = &opts.trace {
-        dump_trace(path, &tracer)?;
+        dump_trace(path, &observe.tracer)?;
     }
     Ok(())
+}
+
+/// An enabled flight recorder at the default lane capacity when `on`,
+/// else the free disabled one.
+fn recorder(on: bool) -> TraceRecorder {
+    if on {
+        TraceRecorder::new(DEFAULT_LANE_CAPACITY)
+    } else {
+        TraceRecorder::disabled()
+    }
 }
 
 /// Writes the recorder's retained window as Chrome Trace Event Format
 /// JSON (load it at chrome://tracing or ui.perfetto.dev) and says what
 /// landed — including how many records the ring overwrote.
-fn dump_trace(
-    path: &str,
-    tracer: &gameofcoins::telemetry::trace::TraceRecorder,
-) -> Result<(), String> {
+fn dump_trace(path: &str, tracer: &TraceRecorder) -> Result<(), String> {
     let snapshot = tracer.snapshot();
     std::fs::write(path, snapshot.to_chrome_json())
         .map_err(|e| format!("cannot write trace {path}: {e}"))?;

@@ -176,6 +176,48 @@ fn run_ensemble_honours_replicas_and_threads() {
 }
 
 #[test]
+fn run_trace_records_every_ensemble_replica() {
+    let dir = std::env::temp_dir().join(format!("goc_trace_test_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("trace.json");
+    let out = goc(&[
+        "run",
+        "ensemble",
+        "--quick",
+        "--replicas",
+        "2",
+        "--trace",
+        trace_path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "traced run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace_path).expect("the trace file is written");
+    let trace = serde_json::parse_value(&text).expect("the trace is Chrome JSON");
+    let Some(serde_json::Value::Array(events)) = trace.get("traceEvents") else {
+        panic!("no traceEvents array in {text}");
+    };
+    // The experiment runs several ensembles, so only the per-replica
+    // shape is pinned: every replica start pairs with one dynamics span.
+    let count = |name: &str, ph: &str| {
+        let (name, ph) = (
+            serde_json::Value::String(name.into()),
+            serde_json::Value::String(ph.into()),
+        );
+        events
+            .iter()
+            .filter(|e| e.get("name") == Some(&name) && e.get("ph") == Some(&ph))
+            .count()
+    };
+    let starts = count("replica_start", "i");
+    assert!(starts >= 1, "no replica_start in the trace");
+    assert_eq!(count("dynamics_run", "B"), starts);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sweep_fans_out_and_preserves_input_order() {
     let dir = std::env::temp_dir().join(format!("goc_sweep_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
