@@ -14,6 +14,14 @@
 //! index behind distinct-equilibria counts, hit frequencies, and the
 //! empirical price-of-anarchy/stability ratios.
 //!
+//! **One universe per key:** replicas never build their population
+//! themselves. The ensemble builds the universe tracker once, captures
+//! it with [`Snapshot::of`], and every replica forks that image. A
+//! [`Universes`] slot keeps the last universe built, so a caller that
+//! runs many ensembles over one population (the server) builds it once.
+//! The binary codec is not on this path; its faithfulness is pinned by
+//! the snapshot round-trip suite and the determinism suite.
+//!
 //! **Determinism:** the same root seed produces a bit-identical
 //! [`EnsembleAggregate`] regardless of the worker-thread count — replica
 //! seeds are a pure function of `(root, index)` and the fold runs in
@@ -24,13 +32,15 @@
 //! thread-invariant part, which
 //! `crates/analysis/tests/ensemble_determinism.rs` pins across
 //! `threads ∈ {1, 2, 8}`, unobserved and with observation fully on.
-//! [`run_observed`] records on the caller's [`Observe`] handle; [`run`]
-//! is the same call over [`Observe::off`].
+//! [`run_observed`] records on the caller's [`Observe`] handle and reuses
+//! the caller's [`Universes`]; [`run`] is the same call over
+//! [`Observe::off`] and a fresh slot.
 
 pub mod aggregate;
 pub mod executor;
 
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -354,7 +364,7 @@ fn churn_scenario(spec: &EnsembleSpec, churn: &ChurnSpec, seed: u64) -> Scenario
 }
 
 /// Runs one replica. `shared` short-circuits per-replica setup with the
-/// ensemble's decoded [`Snapshot`] — churn-free replicas fork the
+/// ensemble's shared universe [`Snapshot`] — churn-free replicas fork the
 /// shared universe at their own random start
 /// ([`Snapshot::fork_at`]), churny scheduler-free replicas fork the
 /// time-zero tracker exactly and replay only their own timeline. The
@@ -483,23 +493,98 @@ pub fn replica(spec: &EnsembleSpec, index: usize) -> Result<ReplicaRecord, Ensem
     replica_with(spec, None, index, None)
 }
 
-/// Builds the ensemble's shared time-zero image: construct the universe
-/// tracker once, encode it, and decode the bytes back into the
-/// [`Snapshot`] every replica forks. The encode → decode round trip is
-/// deliberate — it exercises the exact wire image a checkpoint file
-/// would carry, so the ensemble continuously proves the codec faithful.
+/// What a shared universe is built from, and nothing else: the
+/// population for churn-free specs; population, horizon and churn plan
+/// for scheduler-free churny ones (the universe is seed-invariant and
+/// never sees `spec.name` — the determinism suite pins both).
+#[derive(Debug, PartialEq)]
+enum UniverseKey {
+    Classes(usize),
+    Churn(usize, f64, ChurnSpec),
+}
+
+impl UniverseKey {
+    /// `None` for scheduled churny ensembles, whose replicas need their
+    /// own full universe (the scheduler consumes the per-replica
+    /// scenario), so they never share one.
+    fn of(spec: &EnsembleSpec) -> Option<UniverseKey> {
+        match &spec.churn {
+            None => Some(UniverseKey::Classes(spec.miners)),
+            Some(_) if spec.scheduler.is_some() => None,
+            Some(churn) => Some(UniverseKey::Churn(
+                spec.miners,
+                spec.horizon_days,
+                churn.clone(),
+            )),
+        }
+    }
+}
+
+/// The last shared universe an ensemble built: one slot, keyed by
+/// exactly what the universe is a pure function of (population, and
+/// horizon plus churn plan for churny specs). A universe is immutable
+/// once built, so handing a later ensemble the same image cannot change
+/// its report — it only skips the serial build every replica waits on.
 ///
-/// `None` for scheduled churny ensembles, whose replicas need their own
-/// full universe (the scheduler consumes the per-replica scenario).
-fn shared_snapshot(spec: &EnsembleSpec, lane: &TraceLane) -> Result<Option<Snapshot>, String> {
-    let roundtrip = |tracker: &MassTracker<'_>| {
-        let bytes = {
-            let _encode = lane.span(TraceEventKind::SnapshotEncode, spec.miners as u64);
-            Snapshot::of(tracker).encode()
-        };
-        let _decode = lane.span(TraceEventKind::SnapshotDecode, bytes.len() as u64);
-        Snapshot::try_from(bytes.as_slice()).map_err(|e| e.to_string())
+/// One slot is the whole memory bound: at most one universe beyond
+/// those held by ensembles in flight. A long-lived caller (the server)
+/// owns one and passes it to every [`run_observed`]; [`run`] passes a
+/// fresh one, so each call builds its own.
+#[derive(Debug, Default)]
+pub struct Universes {
+    last: Mutex<Option<(UniverseKey, Arc<Snapshot>)>>,
+}
+
+impl Universes {
+    /// An empty slot.
+    pub const fn new() -> Universes {
+        Universes {
+            last: Mutex::new(None),
+        }
+    }
+
+    fn slot(&self) -> MutexGuard<'_, Option<(UniverseKey, Arc<Snapshot>)>> {
+        // The slot is only ever swapped whole, so a poisoned lock still
+        // guards a consistent value.
+        self.last.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The ensemble's shared time-zero image, read from `universes` when
+/// the last universe built there has the same key, and otherwise built
+/// outside the lock and stored. A build runs under a `universe_build`
+/// span on a coordinator lane and ticks
+/// `goc_ensemble_universe_builds_total`.
+///
+/// `None` for scheduled churny ensembles, which neither read nor write
+/// the slot.
+fn shared_snapshot(
+    spec: &EnsembleSpec,
+    universes: &Universes,
+    observe: &Observe,
+) -> Result<Option<Arc<Snapshot>>, String> {
+    let builds = observe
+        .registry
+        .counter("goc_ensemble_universe_builds_total");
+    let Some(key) = UniverseKey::of(spec) else {
+        return Ok(None);
     };
+    if let Some((_, snapshot)) = universes.slot().as_ref().filter(|(last, _)| *last == key) {
+        return Ok(Some(Arc::clone(snapshot)));
+    }
+    let snapshot = {
+        let coordinator = observe.tracer.lane();
+        let _build = coordinator.span(TraceEventKind::UniverseBuild, spec.miners as u64);
+        Arc::new(build_universe(spec)?)
+    };
+    builds.inc();
+    *universes.slot() = Some((key, Arc::clone(&snapshot)));
+    Ok(Some(snapshot))
+}
+
+/// Builds the universe tracker a churn-free or scheduler-free churny
+/// spec shares, captured with [`Snapshot::of`].
+fn build_universe(spec: &EnsembleSpec) -> Result<Snapshot, String> {
     match &spec.churn {
         None => {
             // The snapshot's own configuration is immaterial here:
@@ -509,9 +594,8 @@ fn shared_snapshot(spec: &EnsembleSpec, lane: &TraceLane) -> Result<Option<Snaps
             let start =
                 Configuration::uniform(CoinId(0), game.system()).map_err(|e| e.to_string())?;
             let tracker = MassTracker::new(&game, &start).map_err(|e| e.to_string())?;
-            roundtrip(&tracker).map(Some)
+            Ok(Snapshot::of(&tracker))
         }
-        Some(_) if spec.scheduler.is_some() => Ok(None),
         Some(churn) => {
             // The churn universe is seed-invariant (only the timeline
             // varies per replica — pinned by the bridge tests), so any
@@ -526,13 +610,13 @@ fn shared_snapshot(spec: &EnsembleSpec, lane: &TraceLane) -> Result<Option<Snaps
                 &universe.coin_active,
             )
             .map_err(|e| e.to_string())?;
-            roundtrip(&tracker).map(Some)
+            Ok(Snapshot::of(&tracker))
         }
     }
 }
 
-/// [`run_observed`] over [`Observe::off`]: the ensemble with nothing
-/// watching.
+/// [`run_observed`] over [`Observe::off`] and a fresh [`Universes`]:
+/// the ensemble with nothing watching and nothing reused.
 ///
 /// # Errors
 ///
@@ -550,21 +634,26 @@ fn shared_snapshot(spec: &EnsembleSpec, lane: &TraceLane) -> Result<Option<Snaps
 /// # Ok::<(), goc_analysis::ensemble::EnsembleError>(())
 /// ```
 pub fn run(spec: &EnsembleSpec, threads: usize) -> Result<EnsembleReport, EnsembleError> {
-    run_observed(spec, threads, &Observe::off())
+    run_observed(spec, threads, &Observe::off(), &Universes::new())
 }
 
 /// Executes the ensemble on `threads` work-stealing workers and folds
-/// the replica records into an [`EnsembleReport`], recording on
-/// `observe`:
+/// the replica records into an [`EnsembleReport`]. Every replica forks
+/// one shared universe, taken from `universes` when the last one built
+/// there matches this spec, and otherwise built here and left there for
+/// the next call (see [`Universes`]). Records on `observe`:
 ///
 /// * metrics — executor scheduling counters
 ///   ([`executor::ExecutorMetrics`]: replicas started / finished /
-///   stolen), the `goc_ensemble_replica_wall_secs` histogram, and one
-///   [`DynamicsObserver`] shared by every replica (`goc_dynamics_*`);
-/// * trace — a coordinator lane spans the shared-snapshot
-///   encode/decode; each replica gets `replica_start`/`replica_finish`
-///   instants, a `snapshot_fork` span and a `dynamics_run` span
-///   (correlation = replica index) on a per-worker lane.
+///   stolen), the `goc_ensemble_replica_wall_secs` histogram,
+///   `goc_ensemble_universe_builds_total` (one per universe built, none
+///   on reuse), and one [`DynamicsObserver`] shared by every replica
+///   (`goc_dynamics_*`);
+/// * trace — a coordinator lane spans a universe build
+///   (`universe_build`, correlation = miners; absent on reuse); each
+///   replica gets `replica_start`/`replica_finish` instants, a
+///   `snapshot_fork` span and a `dynamics_run` span (correlation =
+///   replica index) on a per-worker lane.
 ///
 /// Observation only ever sees wall-clock and scheduling facts: the
 /// [`EnsembleAggregate`] fold is untouched, so
@@ -581,16 +670,16 @@ pub fn run_observed(
     spec: &EnsembleSpec,
     threads: usize,
     observe: &Observe,
+    universes: &Universes,
 ) -> Result<EnsembleReport, EnsembleError> {
     spec.validate()?;
     let metrics = ExecutorMetrics::register(&observe.registry);
     let wall_hist = observe.registry.histogram("goc_ensemble_replica_wall_secs");
     let observer = DynamicsObserver::new(observe);
     let clock = Instant::now();
-    let coordinator = observe.tracer.lane();
-    // One universe, encoded and decoded once; every replica forks the
-    // decoded image instead of rebuilding its own (see `replica_with`).
-    let shared = shared_snapshot(spec, &coordinator)
+    // One universe per key; every replica forks it instead of
+    // rebuilding its own (see `replica_with`).
+    let shared = shared_snapshot(spec, universes, observe)
         .map_err(|error| EnsembleError::Replica { replica: 0, error })?;
     let results = run_indexed_recorded(
         spec.replicas,
@@ -600,7 +689,7 @@ pub fn run_observed(
             // recycles them, so live lanes stay bounded by concurrency.
             let lane = observe.tracer.lane();
             lane.instant(TraceEventKind::ReplicaStart, index as u64);
-            let result = replica_with(spec, shared.as_ref(), index, Some((&lane, &observer)));
+            let result = replica_with(spec, shared.as_deref(), index, Some((&lane, &observer)));
             lane.instant(TraceEventKind::ReplicaFinish, index as u64);
             result
         },
@@ -740,7 +829,7 @@ mod tests {
             registry: Registry::new(),
             ..Observe::off()
         };
-        let recorded = run_observed(&spec, 3, &observe).unwrap();
+        let recorded = run_observed(&spec, 3, &observe, &Universes::new()).unwrap();
         assert_eq!(bare.aggregate, recorded.aggregate);
         assert_eq!(bare.deterministic_json(), recorded.deterministic_json());
         assert!(
@@ -779,14 +868,13 @@ mod tests {
             tracer: TraceRecorder::new(4096),
             ..Observe::off()
         };
-        let traced = run_observed(&spec, 3, &observe).unwrap();
+        let traced = run_observed(&spec, 3, &observe, &Universes::new()).unwrap();
         assert_eq!(bare.aggregate, traced.aggregate, "tracing never perturbs");
         let snap = observe.tracer.snapshot();
         assert_eq!(snap.dropped, 0);
         let count = |kind| snap.events.iter().filter(|e| e.kind == kind).count();
-        // One encode and one decode span (begin + end each)...
-        assert_eq!(count(TraceEventKind::SnapshotEncode), 2);
-        assert_eq!(count(TraceEventKind::SnapshotDecode), 2);
+        // One universe-build span (begin + end)...
+        assert_eq!(count(TraceEventKind::UniverseBuild), 2);
         // ...and per replica: start/finish instants plus a fork span
         // and a dynamics span.
         assert_eq!(count(TraceEventKind::ReplicaStart), spec.replicas);

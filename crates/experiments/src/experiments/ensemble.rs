@@ -35,7 +35,7 @@
 
 use std::time::Instant;
 
-use goc_analysis::ensemble::{run_observed, EnsembleReport, EnsembleSpec};
+use goc_analysis::ensemble::{run_observed, EnsembleReport, EnsembleSpec, Universes};
 use goc_analysis::{RunReport, Table};
 
 use crate::{Experiment, RunContext};
@@ -61,7 +61,9 @@ fn run_or_flag(
     spec: &EnsembleSpec,
     threads: usize,
 ) -> Option<EnsembleReport> {
-    match run_observed(spec, threads, &ctx.observe) {
+    // A fresh slot per call: every spec builds its own universe, so
+    // the 1→4-thread speedup check times the same work at each count.
+    match run_observed(spec, threads, &ctx.observe, &Universes::new()) {
         Ok(result) => Some(result),
         Err(error) => {
             report.check(format!("{label}_runs"), false, error.to_string());

@@ -51,7 +51,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use goc_analysis::ensemble::{run_observed, EnsembleSpec};
+use goc_analysis::ensemble::{run_observed, EnsembleSpec, Universes};
 use goc_analysis::stats::LatencyStats;
 use goc_analysis::{RunReport, Table};
 use goc_proto::{
@@ -582,7 +582,7 @@ impl Serve {
         {
             Ok(reply) => match (
                 reply.report(),
-                run_observed(&spec, ctx.threads.max(1), &ctx.observe),
+                run_observed(&spec, ctx.threads.max(1), &ctx.observe, &Universes::new()),
             ) {
                 (Some(ReportPayload::Ensemble(wire)), Ok(local)) => {
                     let wire_json = wire.deterministic_json();

@@ -37,7 +37,14 @@
 //!   every session lane carries the wire correlation id, so a drained
 //!   trace reconstructs per-request timelines admit → compute → reply;
 //!   [`HttpExporter`] scrapes `/metrics`, `/healthz`, and `/trace` over
-//!   plain HTTP GET. A compute panic becomes a `Response::Error`.
+//!   plain HTTP GET. A panic anywhere in a compute request, admission
+//!   included, becomes a `Response::Error`.
+//! * **Universe reuse** — the server owns one
+//!   [`goc_analysis::ensemble::Universes`] slot and hands it to every
+//!   `RunEnsemble`, so consecutive requests over the same population
+//!   fork the universe the last one built instead of rebuilding it. One
+//!   slot bounds the memory: at most one universe beyond those held by
+//!   requests in flight.
 //!
 //! ```no_run
 //! use goc_server::{Server, ServerConfig};

@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 
 use goc_analysis::ensemble;
 use goc_analysis::ensemble::executor::panic_message;
+use goc_analysis::ensemble::Universes;
 use goc_proto::{
     Connection, ProtoError, RejectReason, ReportPayload, Request, Response, ResponseEnvelope,
     ServerStatus, PROTOCOL_VERSION,
@@ -69,8 +70,9 @@ pub struct ServerSummary {
     pub rejected: u64,
 }
 
-/// Shared server state: the limits, the backend, and the counters the
-/// admission pipeline and `Status` requests read.
+/// Shared server state: the limits, the backend, the counters the
+/// admission pipeline and `Status` requests read, and the last shared
+/// universe an ensemble built.
 struct State {
     config: ServerConfig,
     backend: Box<dyn Backend>,
@@ -87,6 +89,10 @@ struct State {
     /// The server's metrics and flight recorder, handed on to every
     /// ensemble and backend call it runs.
     observe: Observe,
+    /// One slot shared by every `RunEnsemble`: consecutive requests
+    /// over the same population fork one universe instead of each
+    /// building its own.
+    universes: Universes,
 }
 
 impl State {
@@ -131,6 +137,18 @@ impl State {
                 (n < self.config.max_inflight).then_some(n + 1)
             })
             .is_ok()
+    }
+
+    /// Joins a session thread. A session that panicked outside a
+    /// compute request already released its slot via the guards; it is
+    /// counted on `goc_server_panics_total` so the ledger still sees it.
+    fn join_session(&self, handle: JoinHandle<()>) {
+        if handle.join().is_err() {
+            self.observe
+                .registry
+                .counter("goc_server_panics_total")
+                .inc();
+        }
     }
 
     /// Claims a session slot if one is free.
@@ -237,6 +255,7 @@ impl Server {
                 served: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 observe,
+                universes: Universes::new(),
             }),
         })
     }
@@ -303,14 +322,16 @@ impl Server {
                 .registry
                 .counter("goc_server_sessions_total")
                 .inc();
-            handles.retain(|h| !h.is_finished());
+            let (finished, running) = handles.into_iter().partition(|h| h.is_finished());
+            handles = running;
+            for handle in finished {
+                self.state.join_session(handle);
+            }
             let state = Arc::clone(&self.state);
             handles.push(std::thread::spawn(move || session(state, stream)));
         }
         for handle in handles {
-            // A panicked session already released its slot via the
-            // guards; nothing to propagate.
-            let _ = handle.join();
+            self.state.join_session(handle);
         }
         Ok(ServerSummary {
             served: self.state.served.load(Ordering::SeqCst),
@@ -462,7 +483,21 @@ fn session(state: Arc<State>, stream: TcpStream) {
                 TcpStream::connect(state.local_addr).ok();
                 sent
             }
-            request => handle_compute(&state, &mut conn, &lane, id, request, &mut budget_used),
+            // A panic anywhere in a compute request, admission
+            // included, costs the client one `Error` frame, not its
+            // session; the guards release whatever slot it held.
+            request => catch_unwind(AssertUnwindSafe(|| {
+                handle_compute(&state, &mut conn, &lane, id, request, &mut budget_used)
+            }))
+            .unwrap_or_else(|payload| {
+                state
+                    .observe
+                    .registry
+                    .counter("goc_server_panics_total")
+                    .inc();
+                let detail = format!("request panicked: {}", panic_message(payload));
+                reply(&mut conn, id, Response::Error { detail })
+            }),
         };
         state
             .observe
@@ -636,11 +671,10 @@ fn admission_fault(state: &State, request: &Request) -> Option<(RejectReason, St
 
 /// Lowers an admitted request onto the compute substrate: ensembles go
 /// straight to [`goc_analysis::ensemble::run_observed`] (the
-/// work-stealing executor), experiments and sweeps through the injected
-/// [`Backend`]; all of them record on the server's [`Observe`] handle.
-/// A panic anywhere below is contained here: it becomes an `Error`
-/// naming the panic and ticks `goc_server_panics_total`, and the
-/// caller's guards release the in-flight slot as on any other exit.
+/// work-stealing executor) with the server's one [`Universes`] slot,
+/// experiments and sweeps through the injected [`Backend`]; all of them
+/// record on the server's [`Observe`] handle. A panic here unwinds to
+/// the session loop, which answers it with an `Error` frame.
 fn execute(
     state: &State,
     conn: &mut Connection<TcpStream>,
@@ -649,14 +683,16 @@ fn execute(
 ) -> Result<ReportPayload, String> {
     let threads = state.config.threads;
     let observe = &state.observe;
-    let compute = AssertUnwindSafe(|| match request {
+    match request {
         Request::RunExperiment(run) => state
             .backend
             .run_experiment(run, threads, observe)
             .map(ReportPayload::Experiment),
-        Request::RunEnsemble { spec } => ensemble::run_observed(spec, threads, observe)
-            .map(ReportPayload::Ensemble)
-            .map_err(|e| e.to_string()),
+        Request::RunEnsemble { spec } => {
+            ensemble::run_observed(spec, threads, observe, &state.universes)
+                .map(ReportPayload::Ensemble)
+                .map_err(|e| e.to_string())
+        }
         Request::Sweep { runs } => {
             let mut progress = |done: usize, total: usize| {
                 // A client gone mid-sweep surfaces at the terminal
@@ -672,11 +708,7 @@ fn execute(
         Request::Status | Request::Metrics | Request::Shutdown => {
             unreachable!("handled by the session loop")
         }
-    });
-    catch_unwind(compute).unwrap_or_else(|payload| {
-        observe.registry.counter("goc_server_panics_total").inc();
-        Err(format!("request panicked: {}", panic_message(payload)))
-    })
+    }
 }
 
 #[cfg(test)]

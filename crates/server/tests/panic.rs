@@ -1,5 +1,6 @@
-//! Panic containment: a backend that panics mid-request must cost the
-//! client one `Error` frame, not its session. The panic is counted on
+//! Panic containment: a backend that panics mid-request, or while the
+//! request is still in admission, must cost the client one `Error`
+//! frame, not its session. The panic is counted on
 //! `goc_server_panics_total`, the in-flight slot comes back, and the
 //! served/rejected ledger stays exact through the drain.
 
@@ -97,6 +98,75 @@ fn a_panicking_backend_answers_error_and_keeps_the_session() {
     let summary = handle.join().unwrap();
     assert_eq!(summary.served, 1, "the panicked request is not served");
     assert_eq!(summary.rejected, 0, "nor is it a named refusal");
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("goc_server_panics_total"), Some(1));
+    assert_eq!(snap.counter("goc_server_served_total"), Some(1));
+    assert_eq!(snap.counter_family_total("goc_server_rejected_total"), 0);
+    assert_eq!(snap.gauge("goc_server_inflight"), Some(0));
+}
+
+/// Panics in admission: the experiment lookup itself blows up.
+struct PanicAdmissionBackend;
+
+impl Backend for PanicAdmissionBackend {
+    fn has_experiment(&self, _name: &str) -> bool {
+        panic!("boom went the lookup")
+    }
+
+    fn run_experiment(
+        &self,
+        _request: &ExperimentRequest,
+        _threads: usize,
+        _observe: &Observe,
+    ) -> Result<RunReport, String> {
+        unreachable!("admission never lets a request through")
+    }
+
+    fn sweep(
+        &self,
+        _runs: &[ExperimentRequest],
+        _threads: usize,
+        _observe: &Observe,
+        _progress: &mut dyn FnMut(usize, usize),
+    ) -> Result<Vec<RunReport>, String> {
+        unreachable!("admission never lets a request through")
+    }
+}
+
+#[test]
+fn a_panic_in_admission_answers_error_and_keeps_the_session() {
+    let server = Server::bind(ServerConfig::default(), Box::new(PanicAdmissionBackend)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let registry = server.observe().registry;
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client
+        .request(Request::RunExperiment(ExperimentRequest::quick("fig1")))
+        .expect("the session answers instead of hanging up");
+    assert!(!reply.accepted(), "the panic came before admission");
+    match reply.terminal() {
+        Response::Error { detail } => assert!(detail.contains("boom went the lookup"), "{detail}"),
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+
+    // Same session, next request: served normally.
+    let next = client
+        .request(Request::RunEnsemble {
+            spec: EnsembleSpec::new(16, 2, 3),
+        })
+        .unwrap();
+    assert!(
+        matches!(next.report(), Some(ReportPayload::Ensemble(_))),
+        "{:?}",
+        next.terminal()
+    );
+    drop(client);
+
+    shutdown(addr);
+    let summary = handle.join().unwrap();
+    assert_eq!(summary.served, 1);
+    assert_eq!(summary.rejected, 0);
     let snap = registry.snapshot();
     assert_eq!(snap.counter("goc_server_panics_total"), Some(1));
     assert_eq!(snap.counter("goc_server_served_total"), Some(1));

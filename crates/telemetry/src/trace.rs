@@ -30,7 +30,7 @@
 //!
 //! Events are typed by the closed [`TraceEventKind`] enum — the
 //! ensemble layer (replica start/finish, the per-replica dynamics run,
-//! snapshot encode/decode/fork) and the server (request
+//! universe build, snapshot fork) and the server (request
 //! admit/serve/reject) — and each carries a caller-chosen 64-bit
 //! correlation value. The server threads the wire envelope's
 //! correlation id through every span it emits, so a per-request
@@ -83,11 +83,10 @@ pub enum TraceEventKind {
     /// One replica's better-response dynamics run, start to outcome
     /// (span; correlation = replica index).
     DynamicsRun,
-    /// Binary snapshot encode of the shared ensemble universe.
-    SnapshotEncode,
-    /// Binary snapshot decode (with full revalidation).
-    SnapshotDecode,
-    /// Per-replica population fork off the decoded snapshot.
+    /// An ensemble built its shared universe (span; correlation =
+    /// miners). Absent when the ensemble reused the last one.
+    UniverseBuild,
+    /// Per-replica population fork off the shared universe snapshot.
     SnapshotFork,
     /// The server admitted a request (correlation = envelope id).
     RequestAdmit,
@@ -100,12 +99,11 @@ pub enum TraceEventKind {
 
 impl TraceEventKind {
     /// Every kind, in wire-code order (`kind as u64` indexes this).
-    pub const ALL: [TraceEventKind; 9] = [
+    pub const ALL: [TraceEventKind; 8] = [
         TraceEventKind::ReplicaStart,
         TraceEventKind::ReplicaFinish,
         TraceEventKind::DynamicsRun,
-        TraceEventKind::SnapshotEncode,
-        TraceEventKind::SnapshotDecode,
+        TraceEventKind::UniverseBuild,
         TraceEventKind::SnapshotFork,
         TraceEventKind::RequestAdmit,
         TraceEventKind::RequestServe,
@@ -118,8 +116,7 @@ impl TraceEventKind {
             TraceEventKind::ReplicaStart => "replica_start",
             TraceEventKind::ReplicaFinish => "replica_finish",
             TraceEventKind::DynamicsRun => "dynamics_run",
-            TraceEventKind::SnapshotEncode => "snapshot_encode",
-            TraceEventKind::SnapshotDecode => "snapshot_decode",
+            TraceEventKind::UniverseBuild => "universe_build",
             TraceEventKind::SnapshotFork => "snapshot_fork",
             TraceEventKind::RequestAdmit => "request_admit",
             TraceEventKind::RequestServe => "request_serve",
