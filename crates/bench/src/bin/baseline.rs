@@ -1,57 +1,59 @@
 //! `baseline` — records and checks the repo's perf baseline.
 //!
-//! **Record mode** (default) measures the headline throughput numbers of
-//! the large-population engine and writes them as machine-readable JSON
-//! (`BENCH_10.json`):
+//! The baseline is one flat table of named layers, each a measured
+//! workload's `{ name, miners, work, wall_secs, per_sec }`. **Record
+//! mode** (default) measures every layer and writes the table as
+//! machine-readable JSON (`BENCH_10.json`):
 //!
-//! * **dynamics steps/sec** — a scheduler-free `goc_learning::Dynamics`
-//!   run converging
-//!   a 100k-miner, 8-hashrate-class, 3-coin game from the all-on-c0
-//!   start (best of three runs);
-//! * **sim events/sec** — a 100k-rig population aggregated into 8
+//! * `dynamics` (steps/sec) — a scheduler-free `goc_learning::Dynamics`
+//!   run converging a 100k-miner, 8-hashrate-class, 3-coin game from the
+//!   all-on-c0 start (best of three runs);
+//! * `sim` (events/sec) — a 100k-rig population aggregated into 8
 //!   behaviour cohorts over a two-chain market for 1000 simulated days
-//!   (long enough that the timed window is ~100 ms, not timer noise);
-//! * **per-scheduler steps/sec** — every `SchedulerKind` converging the
-//!   same 100k-miner game through the incremental scheduler protocol
-//!   (`Dynamics` with a scheduler, over a `MoveSource`; best of two
-//!   runs);
-//! * **churn (steps+deltas)/sec** — a scheduler-free `Dynamics` run
+//!   (long enough that the timed window is ~100 ms, not timer noise;
+//!   best of three runs);
+//! * `scheduler/<kind>` (steps/sec) — every `SchedulerKind` converging
+//!   the same 100k-miner game through the incremental scheduler
+//!   protocol (`Dynamics` with a scheduler, over a `MoveSource`);
+//! * `churn` ((steps+deltas)/sec) — a scheduler-free `Dynamics` run
 //!   absorbing the shared churn fixture (10% population turnover, one
-//!   coin launch, one retirement) on the 100k-miner universe (best of
-//!   two runs);
-//! * **ensemble replicas/sec** — `goc_analysis::ensemble::run` driving
+//!   coin launch, one retirement) on the 100k-miner universe;
+//! * `ensemble` (replicas/sec) — `goc_analysis::ensemble::run` driving
 //!   an 8-replica Monte-Carlo ensemble over the 100k-miner fixture on
 //!   the work-stealing executor at a **fixed 2 worker threads** (so the
 //!   number is comparable between the recording box and CI runners
-//!   regardless of their core counts; best of two runs);
-//! * **server requests/sec** — a live `goc-server` on an ephemeral
-//!   loopback port answering a stream of `RunEnsemble` requests from
-//!   one blocking client (wire framing + admission control + dispatch
-//!   onto the shared executor, end to end; best of two runs);
-//! * **snapshot encode/decode/fork ops/sec** — the binary snapshot
+//!   regardless of their core counts);
+//! * `server` (requests/sec) — a live `goc-server` on an ephemeral
+//!   loopback port answering a stream of 1000-miner `RunEnsemble`
+//!   requests from one blocking client (wire framing + admission
+//!   control + dispatch onto the shared executor, end to end);
+//! * `snapshot/{encode,decode,fork}` (ops/sec) — the binary snapshot
 //!   codec over the 100k-miner tracker: `Snapshot::of` + `encode`,
 //!   `TryFrom<&[u8]>` (full frame + semantic revalidation), and
 //!   `fork_at` (the population fork the ensemble engine performs per
-//!   replica; best of two batches each);
-//! * **telemetry steps/sec** — the dynamics workload again, but run
+//!   replica); the three ops share one tracker build;
+//! * `telemetry` (steps/sec) — the dynamics workload again, but run
 //!   through the run-level `DynamicsObserver` on an enabled registry,
 //!   gating the cost of its per-run counter adds;
-//! * **tracing steps/sec** — the dynamics workload once more, through
+//! * `tracing` (steps/sec) — the dynamics workload once more, through
 //!   the same observer on an *enabled* flight recorder (one
 //!   `dynamics_run` span per run), gating the recorder's cheap-when-on
 //!   contract the same way `telemetry` gates the metrics layer.
 //!
+//! Layers without a stated repeat count are best of two runs.
+//! `--quick` (the CI smoke mode) measures the same layers at 10k miners
+//! and 16 server requests.
+//!
 //! **Check mode** (`--check FILE [--tolerance T]`) is the CI perf gate:
-//! it re-measures the *same* workloads at the miner counts recorded in
-//! `FILE` and fails (exit 1) if any measured throughput drops below
-//! `T × recorded` (default `T = 0.5`, i.e. a >50% regression). The
-//! failure message names **which** metrics regressed, and a recorded
-//! miner count the gate machine cannot allocate (or a degenerate zero)
-//! is a named error up front — never a panic or a silent pass. A
-//! baseline file that **lacks a layer this binary records** (e.g.
-//! gating a pre-5 file without the `ensemble` section) produces a loud
-//! warning naming the uncovered layer, so a new layer cannot dodge the
-//! gate by pointing it at an old recording.
+//! it re-measures every layer at the miner counts (and ensemble
+//! replica / server request counts) recorded in `FILE` and fails
+//! (exit 1) if any measured throughput drops below `T × recorded`
+//! (default `T = 0.5`, i.e. a >50% regression), naming **which** layers
+//! regressed. Before measuring anything it validates the whole file: a
+//! missing, unknown or duplicated layer, a miner count the gate machine
+//! cannot allocate, a zero or oversized work count, or a wall time or
+//! throughput that is not a finite positive number is a named error and
+//! a failing exit — never a panic, a silent pass, or an ungated layer.
 //!
 //! ```text
 //! cargo run --release -p goc-bench --bin baseline            # full, writes BENCH_10.json
@@ -91,7 +93,7 @@ const MAX_GATE_MINERS: usize = 2_000_000;
 const ENSEMBLE_THREADS: usize = 2;
 
 /// Replicas of the recorded ensemble workload.
-const ENSEMBLE_REPLICAS: usize = 8;
+const ENSEMBLE_REPLICAS: u64 = 8;
 
 /// Largest recorded ensemble replica count the gate will re-measure —
 /// the same defense as [`MAX_GATE_MINERS`]: a corrupt or hand-edited
@@ -104,22 +106,31 @@ const MAX_GATE_REPLICAS: u64 = 1024;
 const SERVER_REPLICAS: usize = 2;
 
 /// Requests of the recorded server workload (full mode).
-const SERVER_REQUESTS: usize = 32;
+const SERVER_REQUESTS: u64 = 32;
 
-/// Population of the recorded server workload (full mode). Deliberately
-/// modest: the ensemble layer already gates 100k-miner compute; this
-/// layer gates the service round-trip.
+/// Population of the recorded server workload. Deliberately modest:
+/// the ensemble layer already gates 100k-miner compute; this layer
+/// gates the service round-trip.
 const SERVER_MINERS: usize = 1000;
 
 /// Largest recorded server request count the gate will re-measure.
 const MAX_GATE_REQUESTS: u64 = 1024;
 
+/// Codec operations per timed snapshot batch — enough that the timed
+/// window is milliseconds, not timer noise, at 100k miners.
+const SNAPSHOT_OPS: u64 = 8;
+
+/// Repeats of every layer in check mode (fewer than a recording run).
+const CHECK_REPEATS: usize = 2;
+
 /// One measured layer of the baseline.
-#[derive(Debug, Serialize, Deserialize)]
-struct LayerBaseline {
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Layer {
+    /// Layer name, one of [`layer_names`].
+    name: String,
     /// Population head-count.
     miners: usize,
-    /// Work units completed (dynamics steps / sim events).
+    /// Work units completed (steps, events, replicas, requests, ops).
     work: u64,
     /// Best-of-N wall time in seconds.
     wall_secs: f64,
@@ -127,33 +138,7 @@ struct LayerBaseline {
     per_sec: f64,
 }
 
-/// Per-scheduler throughput through the incremental protocol.
-#[derive(Debug, Serialize, Deserialize)]
-struct SchedulerBaseline {
-    /// `SchedulerKind` display name.
-    scheduler: String,
-    /// The measured convergence, as a [`LayerBaseline`].
-    layer: LayerBaseline,
-}
-
-/// Snapshot-codec throughput: one [`LayerBaseline`] per operation
-/// (`work` = codec operations, so `per_sec` is ops/sec).
-#[derive(Debug, Serialize, Deserialize)]
-struct SnapshotBaseline {
-    /// `Snapshot::of` + `Snapshot::encode` over the full tracker.
-    encode: LayerBaseline,
-    /// `Snapshot::try_from(&[u8])` — frame checks plus the full
-    /// semantic revalidation (masses, groups, cursor).
-    decode: LayerBaseline,
-    /// `Snapshot::fork_at` — the per-replica population fork the
-    /// ensemble engine performs instead of rebuilding from scratch.
-    fork: LayerBaseline,
-}
-
-/// The `BENCH_10.json` schema (a superset of `BENCH_9.json`: the
-/// `tracing` section is new and optional on read, so `--check` also
-/// accepts the older files — with a loud warning for every layer the
-/// file is missing).
+/// The `BENCH_10.json` schema.
 #[derive(Debug, Serialize, Deserialize)]
 struct Baseline {
     /// Baseline generation.
@@ -162,45 +147,118 @@ struct Baseline {
     quick: bool,
     /// How to regenerate this file.
     recorded_by: String,
-    /// Incremental best-response dynamics (steps/sec).
-    dynamics: LayerBaseline,
-    /// Cohort discrete-event simulation (events/sec).
-    sim: LayerBaseline,
-    /// Incremental scheduler protocol, one entry per `SchedulerKind`
-    /// (steps/sec; absent in pre-3 baselines).
-    schedulers: Option<Vec<SchedulerBaseline>>,
-    /// Churny incremental dynamics: 10% turnover + coin lifecycle
-    /// ((steps+deltas)/sec; absent in pre-4 baselines).
-    churn: Option<LayerBaseline>,
-    /// Monte-Carlo ensemble throughput (replicas/sec at
-    /// [`ENSEMBLE_THREADS`] workers; `work` = replicas; absent in
-    /// pre-5 baselines).
-    ensemble: Option<LayerBaseline>,
-    /// Service-layer round-trip throughput over loopback TCP
-    /// (requests/sec; `work` = requests; absent in pre-6 baselines).
-    server: Option<LayerBaseline>,
-    /// Binary snapshot codec throughput (encode/decode/fork ops/sec;
-    /// absent in pre-7 baselines).
-    snapshot: Option<SnapshotBaseline>,
-    /// Observed dynamics: the `dynamics` workload run through a
-    /// `DynamicsObserver` on an enabled registry, which adds each run's
-    /// numbers to the `goc_dynamics_*` counters (steps/sec; absent in
-    /// pre-9 baselines; through `BENCH_10.json` this layer ticked a
-    /// counter per step). Gating it alongside `dynamics` keeps telemetry overhead
-    /// inside the same regression envelope as the bare engine.
-    telemetry: Option<LayerBaseline>,
-    /// Flight-recorded dynamics: the `dynamics` workload run through a
-    /// `DynamicsObserver` on an *enabled* recorder, which writes one
-    /// `dynamics_run` span per run (steps/sec; absent in pre-10
-    /// baselines; through `BENCH_10.json` this layer wrote a ring
-    /// record per step).
-    tracing: Option<LayerBaseline>,
+    /// Every measured layer, in [`layer_names`] order.
+    layers: Vec<Layer>,
 }
 
-fn dynamics_baseline(n: usize, repeats: usize) -> LayerBaseline {
+impl Baseline {
+    fn layer(&self, name: &str) -> Option<&Layer> {
+        self.layers.iter().find(|layer| layer.name == name)
+    }
+}
+
+/// `(work, best wall_secs)` of one measured layer.
+type Timed = (u64, f64);
+
+/// A measured workload. Each yields one layer, except [`Workload::Snapshot`],
+/// whose three codec ops share one tracker build.
+#[derive(Debug, Clone, Copy)]
+enum Workload {
+    Dynamics,
+    Sim,
+    Scheduler(SchedulerKind),
+    Churn,
+    Ensemble,
+    Server,
+    Snapshot,
+    Telemetry,
+    Tracing,
+}
+
+impl Workload {
+    /// Every workload, in the order `record` writes its layers.
+    fn all() -> impl Iterator<Item = Workload> {
+        [Workload::Dynamics, Workload::Sim]
+            .into_iter()
+            .chain(SchedulerKind::ALL.into_iter().map(Workload::Scheduler))
+            .chain([
+                Workload::Churn,
+                Workload::Ensemble,
+                Workload::Server,
+                Workload::Snapshot,
+                Workload::Telemetry,
+                Workload::Tracing,
+            ])
+    }
+
+    /// The names of the layers this workload measures.
+    fn names(self) -> Vec<String> {
+        match self {
+            Workload::Dynamics => vec!["dynamics".into()],
+            Workload::Sim => vec!["sim".into()],
+            Workload::Scheduler(kind) => vec![format!("scheduler/{}", kind.name())],
+            Workload::Churn => vec!["churn".into()],
+            Workload::Ensemble => vec!["ensemble".into()],
+            Workload::Server => vec!["server".into()],
+            Workload::Snapshot => ["encode", "decode", "fork"]
+                .map(|op| format!("snapshot/{op}"))
+                .to_vec(),
+            Workload::Telemetry => vec!["telemetry".into()],
+            Workload::Tracing => vec!["tracing".into()],
+        }
+    }
+
+    /// `(miners, work, repeats)` of a recording run. `work` is the
+    /// replica / request count for `ensemble` / `server` and unused by
+    /// every other workload, whose work is whatever convergence takes.
+    fn record_plan(self, quick: bool) -> (usize, u64, usize) {
+        let n = if quick { 10_000 } else { 100_000 };
+        match self {
+            Workload::Dynamics | Workload::Sim => (n, 0, 3),
+            Workload::Ensemble => (n, ENSEMBLE_REPLICAS, 2),
+            Workload::Server if quick => (SERVER_MINERS, SERVER_REQUESTS / 2, 2),
+            Workload::Server => (SERVER_MINERS, SERVER_REQUESTS, 2),
+            _ => (n, 0, 2),
+        }
+    }
+
+    /// Measures this workload's layers at `miners` (and `work`, see
+    /// [`Workload::record_plan`]), best of `repeats` runs.
+    fn measure(self, miners: usize, work: u64, repeats: usize) -> Vec<Layer> {
+        let timed: Vec<Timed> = match self {
+            Workload::Dynamics => vec![dynamics(miners, repeats)],
+            Workload::Sim => vec![sim(miners, repeats)],
+            Workload::Scheduler(kind) => vec![scheduler(kind, miners, repeats)],
+            Workload::Churn => vec![churn(miners, repeats)],
+            Workload::Ensemble => vec![ensemble(miners, work, repeats)],
+            Workload::Server => vec![server(miners, work, repeats)],
+            Workload::Snapshot => snapshot(miners, repeats).to_vec(),
+            Workload::Telemetry => vec![telemetry(miners, repeats)],
+            Workload::Tracing => vec![tracing(miners, repeats)],
+        };
+        self.names()
+            .into_iter()
+            .zip(timed)
+            .map(|(name, (work, wall_secs))| Layer {
+                name,
+                miners,
+                work,
+                wall_secs,
+                per_sec: work as f64 / wall_secs.max(1e-9),
+            })
+            .collect()
+    }
+}
+
+/// Every layer name this binary records, in file order.
+fn layer_names() -> Vec<String> {
+    Workload::all().flat_map(Workload::names).collect()
+}
+
+fn dynamics(n: usize, repeats: usize) -> Timed {
     // The shared scale fixture (`goc_sim::fixtures`): the recorder must
     // measure exactly the workload the `scale`/`schedulers` experiments
-    // and the large-population benches run.
+    // run.
     let game = scale_class_game(n);
     let start = Configuration::uniform(CoinId(0), game.system()).expect("valid start");
     let mut best = f64::INFINITY;
@@ -212,19 +270,14 @@ fn dynamics_baseline(n: usize, repeats: usize) -> LayerBaseline {
         best = best.min(clock.elapsed().as_secs_f64());
         steps = outcome.steps;
     }
-    LayerBaseline {
-        miners: n,
-        work: steps as u64,
-        wall_secs: best,
-        per_sec: steps as f64 / best.max(1e-9),
-    }
+    (steps as u64, best)
 }
 
-fn sim_baseline(n: usize, repeats: usize) -> LayerBaseline {
-    // 1000 simulated days (vs BENCH_2's 10): cohorts compress a 100k-rig
-    // population into ~3.5k events per 10 days, and a sub-millisecond
-    // timed window would gate on scheduler noise, not throughput. The
-    // longer horizon keeps the measured region around 100 ms.
+fn sim(n: usize, repeats: usize) -> Timed {
+    // 1000 simulated days: cohorts compress a 100k-rig population into
+    // ~3.5k events per 10 days, and a sub-millisecond timed window would
+    // gate on scheduler noise, not throughput. The longer horizon keeps
+    // the measured region around 100 ms.
     let spec = scale_cohort_scenario(n, 1000.0, 9);
     let mut best = f64::INFINITY;
     let mut events = 0u64;
@@ -235,15 +288,10 @@ fn sim_baseline(n: usize, repeats: usize) -> LayerBaseline {
         best = best.min(clock.elapsed().as_secs_f64());
         events = metrics.total_events;
     }
-    LayerBaseline {
-        miners: n,
-        work: events,
-        wall_secs: best,
-        per_sec: events as f64 / best.max(1e-9),
-    }
+    (events, best)
 }
 
-fn scheduler_baseline(kind: SchedulerKind, n: usize, repeats: usize) -> SchedulerBaseline {
+fn scheduler(kind: SchedulerKind, n: usize, repeats: usize) -> Timed {
     let game = scale_class_game(n);
     let start = Configuration::uniform(CoinId(0), game.system()).expect("valid start");
     let mut best = f64::INFINITY;
@@ -260,22 +308,14 @@ fn scheduler_baseline(kind: SchedulerKind, n: usize, repeats: usize) -> Schedule
         best = best.min(clock.elapsed().as_secs_f64());
         steps = outcome.steps;
     }
-    SchedulerBaseline {
-        scheduler: kind.name().to_string(),
-        layer: LayerBaseline {
-            miners: n,
-            work: steps as u64,
-            wall_secs: best,
-            per_sec: steps as f64 / best.max(1e-9),
-        },
-    }
+    (steps as u64, best)
 }
 
-/// The shared churn workload: the fixture scenario lowered to a game
-/// universe plus a step-keyed delta plan (exactly what the `churn`
-/// experiment and the churn benches drive; the stride policy lives on
-/// `ChurnUniverse::step_deltas`).
-fn churn_workload(n: usize) -> (goc_sim::ChurnUniverse, ChurnPlan) {
+fn churn(n: usize, repeats: usize) -> Timed {
+    // The shared churn workload: the fixture scenario lowered to a game
+    // universe plus a step-keyed delta plan (exactly what the `churn`
+    // experiment drives; the stride policy lives on
+    // `ChurnUniverse::step_deltas`).
     let spec = scale_churn_scenario(n, 30.0, 9, 10);
     let universe = goc_sim::churn_universe(&spec, 1e-4).expect("fixture lowers to a universe");
     let plan = ChurnPlan::with_events(
@@ -283,11 +323,6 @@ fn churn_workload(n: usize) -> (goc_sim::ChurnUniverse, ChurnPlan) {
         Some(universe.coin_active.clone()),
         universe.step_deltas(n),
     );
-    (universe, plan)
-}
-
-fn churn_baseline(n: usize, repeats: usize) -> LayerBaseline {
-    let (universe, plan) = churn_workload(n);
     let mut best = f64::INFINITY;
     let mut work = 0usize;
     for _ in 0..repeats {
@@ -301,42 +336,80 @@ fn churn_baseline(n: usize, repeats: usize) -> LayerBaseline {
         best = best.min(clock.elapsed().as_secs_f64());
         work = outcome.steps + outcome.churn_applied;
     }
-    LayerBaseline {
-        miners: n,
-        work: work as u64,
-        wall_secs: best,
-        per_sec: work as f64 / best.max(1e-9),
-    }
+    (work as u64, best)
 }
 
-fn ensemble_baseline(n: usize, replicas: usize, repeats: usize) -> LayerBaseline {
+fn ensemble(n: usize, replicas: u64, repeats: usize) -> Timed {
     // The ensemble engine's own workload: `replicas` deterministic
     // Monte-Carlo replicas of the scheduler-free dynamics over the scale fixture,
     // random start each, on the work-stealing executor at a fixed
     // thread count (`work` = replicas, so `per_sec` is replicas/sec).
-    let spec = EnsembleSpec::new(n, replicas, 9);
+    let spec = EnsembleSpec::new(n, replicas as usize, 9);
     let mut best = f64::INFINITY;
     for _ in 0..repeats {
         let report = run_ensemble(&spec, ENSEMBLE_THREADS).expect("fixture ensembles run");
         assert_eq!(
-            report.aggregate.converged, replicas,
+            report.aggregate.converged, replicas as usize,
             "ensemble replicas did not all converge"
         );
         best = best.min(report.timing.total_wall_secs);
     }
-    LayerBaseline {
-        miners: n,
-        work: replicas as u64,
-        wall_secs: best,
-        per_sec: replicas as f64 / best.max(1e-9),
-    }
+    (replicas, best)
 }
 
-/// Codec operations per timed batch — enough that the timed window is
-/// milliseconds, not timer noise, at 100k miners.
-const SNAPSHOT_OPS: usize = 8;
+fn server(n: usize, requests: u64, repeats: usize) -> Timed {
+    // End to end over real loopback TCP: framing, admission control,
+    // and the dispatch of each `RunEnsemble` onto the shared executor.
+    // One blocking client, so the number is a round-trip latency
+    // reciprocal, not a concurrency measure (the `serve` experiment
+    // covers concurrency; this gates the per-request path).
+    let mut best = f64::INFINITY;
+    for _ in 0..repeats {
+        let config = ServerConfig {
+            threads: ENSEMBLE_THREADS,
+            session_budget: requests + 1,
+            ..ServerConfig::default()
+        };
+        let server =
+            Server::bind(config, Box::new(EnsembleOnlyBackend)).expect("server binds on loopback");
+        let addr = server.local_addr().expect("bound servers have an address");
+        let handle = std::thread::spawn(move || server.run().expect("server drains cleanly"));
+        let mut client = Client::connect(addr).expect("client connects");
+        let clock = Instant::now();
+        for i in 0..requests {
+            let spec = EnsembleSpec::new(n, SERVER_REPLICAS, 9 + i);
+            let reply = client
+                .request(Request::RunEnsemble { spec })
+                .expect("request round-trips");
+            assert!(
+                matches!(
+                    reply.terminal(),
+                    Response::Report(ReportPayload::Ensemble(_))
+                ),
+                "request was not served: {:?}",
+                reply.terminal()
+            );
+        }
+        best = best.min(clock.elapsed().as_secs_f64());
+        drop(client);
+        let mut closer = Client::connect(addr).expect("shutdown client connects");
+        let reply = closer
+            .request(Request::Shutdown)
+            .expect("shutdown round-trips");
+        assert!(
+            matches!(
+                reply.terminal(),
+                Response::Report(ReportPayload::ShutdownAck)
+            ),
+            "server did not acknowledge shutdown"
+        );
+        handle.join().expect("server thread exits");
+    }
+    (requests, best)
+}
 
-fn snapshot_baseline(n: usize, repeats: usize) -> SnapshotBaseline {
+/// `[encode, decode, fork]`, [`SNAPSHOT_OPS`] codec operations each.
+fn snapshot(n: usize, repeats: usize) -> [Timed; 3] {
     let game = scale_class_game(n);
     let start = Configuration::uniform(CoinId(0), game.system()).expect("valid start");
     let tracker = MassTracker::new(&game, &start).expect("valid tracker");
@@ -377,24 +450,14 @@ fn snapshot_baseline(n: usize, repeats: usize) -> SnapshotBaseline {
         fork_best = fork_best.min(clock.elapsed().as_secs_f64());
     }
 
-    let layer = |wall_secs: f64| LayerBaseline {
-        miners: n,
-        work: SNAPSHOT_OPS as u64,
-        wall_secs,
-        per_sec: SNAPSHOT_OPS as f64 / wall_secs.max(1e-9),
-    };
-    SnapshotBaseline {
-        encode: layer(encode_best),
-        decode: layer(decode_best),
-        fork: layer(fork_best),
-    }
+    [encode_best, decode_best, fork_best].map(|best| (SNAPSHOT_OPS, best))
 }
 
 /// The exact `dynamics` workload, but run through a [`DynamicsObserver`]
 /// on `observe`: one `dynamics_run` span and the `goc_dynamics_*`
 /// counter adds per run. The recorded steps/sec is gated like any other
 /// layer, so run-level observation cannot silently grow per-step work.
-fn observed_baseline(n: usize, repeats: usize, observe: &Observe) -> LayerBaseline {
+fn observed(n: usize, repeats: usize, observe: &Observe) -> Timed {
     let game = scale_class_game(n);
     let start = Configuration::uniform(CoinId(0), game.system()).expect("valid start");
     let observer = DynamicsObserver::new(observe);
@@ -410,21 +473,16 @@ fn observed_baseline(n: usize, repeats: usize, observe: &Observe) -> LayerBaseli
         assert!(outcome.converged, "observed dynamics did not converge");
         steps = outcome.steps;
     }
-    LayerBaseline {
-        miners: n,
-        work: steps as u64,
-        wall_secs: best,
-        per_sec: steps as f64 / best.max(1e-9),
-    }
+    (steps as u64, best)
 }
 
-fn telemetry_baseline(n: usize, repeats: usize) -> LayerBaseline {
+fn telemetry(n: usize, repeats: usize) -> Timed {
     // The metrics half of the observer, on an *enabled* registry.
     let observe = Observe {
         registry: Registry::new(),
         ..Observe::off()
     };
-    let layer = observed_baseline(n, repeats, &observe);
+    let (steps, best) = observed(n, repeats, &observe);
     // Deterministic dynamics: every repeat walks the same steps, and
     // the registry (shared across repeats by metric name) must have
     // counted all of them.
@@ -433,20 +491,20 @@ fn telemetry_baseline(n: usize, repeats: usize) -> LayerBaseline {
             .registry
             .snapshot()
             .counter("goc_dynamics_steps_total"),
-        Some(layer.work * repeats as u64),
+        Some(steps * repeats as u64),
         "telemetry missed steps"
     );
-    layer
+    (steps, best)
 }
 
-fn tracing_baseline(n: usize, repeats: usize) -> LayerBaseline {
+fn tracing(n: usize, repeats: usize) -> Timed {
     // The trace half of the observer, on an *enabled* recorder at the
     // default lane capacity.
     let observe = Observe {
         tracer: TraceRecorder::new(DEFAULT_LANE_CAPACITY),
         ..Observe::off()
     };
-    let layer = observed_baseline(n, repeats, &observe);
+    let timed = observed(n, repeats, &observe);
     // One span (begin + end) per run, each retained or counted as
     // dropped.
     let snapshot = observe.tracer.snapshot();
@@ -455,161 +513,27 @@ fn tracing_baseline(n: usize, repeats: usize) -> LayerBaseline {
         2 * repeats as u64,
         "the recorder lost records"
     );
-    layer
-}
-
-fn server_baseline(n: usize, requests: usize, repeats: usize) -> LayerBaseline {
-    // End to end over real loopback TCP: framing, admission control,
-    // and the dispatch of each `RunEnsemble` onto the shared executor.
-    // One blocking client, so the number is a round-trip latency
-    // reciprocal, not a concurrency measure (the `serve` experiment
-    // covers concurrency; this gates the per-request path).
-    let mut best = f64::INFINITY;
-    for _ in 0..repeats {
-        let config = ServerConfig {
-            threads: ENSEMBLE_THREADS,
-            session_budget: requests as u64 + 1,
-            ..ServerConfig::default()
-        };
-        let server =
-            Server::bind(config, Box::new(EnsembleOnlyBackend)).expect("server binds on loopback");
-        let addr = server.local_addr().expect("bound servers have an address");
-        let handle = std::thread::spawn(move || server.run().expect("server drains cleanly"));
-        let mut client = Client::connect(addr).expect("client connects");
-        let clock = Instant::now();
-        for i in 0..requests {
-            let spec = EnsembleSpec::new(n, SERVER_REPLICAS, 9 + i as u64);
-            let reply = client
-                .request(Request::RunEnsemble { spec })
-                .expect("request round-trips");
-            assert!(
-                matches!(
-                    reply.terminal(),
-                    Response::Report(ReportPayload::Ensemble(_))
-                ),
-                "request was not served: {:?}",
-                reply.terminal()
-            );
-        }
-        best = best.min(clock.elapsed().as_secs_f64());
-        drop(client);
-        let mut closer = Client::connect(addr).expect("shutdown client connects");
-        let reply = closer
-            .request(Request::Shutdown)
-            .expect("shutdown round-trips");
-        assert!(
-            matches!(
-                reply.terminal(),
-                Response::Report(ReportPayload::ShutdownAck)
-            ),
-            "server did not acknowledge shutdown"
-        );
-        handle.join().expect("server thread exits");
-    }
-    LayerBaseline {
-        miners: n,
-        work: requests as u64,
-        wall_secs: best,
-        per_sec: requests as f64 / best.max(1e-9),
-    }
+    timed
 }
 
 fn record(quick: bool, out: &Path) -> ExitCode {
-    let n = if quick { 10_000 } else { 100_000 };
-    let server_requests = if quick {
-        SERVER_REQUESTS / 2
-    } else {
-        SERVER_REQUESTS
-    };
+    let mut layers = Vec::new();
+    for workload in Workload::all() {
+        let (miners, work, repeats) = workload.record_plan(quick);
+        for layer in workload.measure(miners, work, repeats) {
+            println!(
+                "{:<32} {} miners, {} work in {:.3} s -> {:.1}/s",
+                layer.name, layer.miners, layer.work, layer.wall_secs, layer.per_sec
+            );
+            layers.push(layer);
+        }
+    }
     let baseline = Baseline {
         baseline: 10,
         quick,
         recorded_by: "cargo run --release -p goc-bench --bin baseline".into(),
-        dynamics: dynamics_baseline(n, 3),
-        sim: sim_baseline(n, 3),
-        schedulers: Some(
-            SchedulerKind::ALL
-                .into_iter()
-                .map(|kind| scheduler_baseline(kind, n, 2))
-                .collect(),
-        ),
-        churn: Some(churn_baseline(n, 2)),
-        ensemble: Some(ensemble_baseline(n, ENSEMBLE_REPLICAS, 2)),
-        server: Some(server_baseline(SERVER_MINERS, server_requests, 2)),
-        snapshot: Some(snapshot_baseline(n, 2)),
-        telemetry: Some(telemetry_baseline(n, 2)),
-        tracing: Some(tracing_baseline(n, 2)),
+        layers,
     };
-    println!(
-        "dynamics: {} miners, {} steps in {:.3} s -> {:.0} steps/sec",
-        baseline.dynamics.miners,
-        baseline.dynamics.work,
-        baseline.dynamics.wall_secs,
-        baseline.dynamics.per_sec
-    );
-    println!(
-        "sim:      {} miners, {} events in {:.3} s -> {:.0} events/sec",
-        baseline.sim.miners, baseline.sim.work, baseline.sim.wall_secs, baseline.sim.per_sec
-    );
-    for entry in baseline.schedulers.as_deref().unwrap_or(&[]) {
-        println!(
-            "sched:    {:<22} {} steps in {:.3} s -> {:.0} steps/sec",
-            entry.scheduler, entry.layer.work, entry.layer.wall_secs, entry.layer.per_sec
-        );
-    }
-    if let Some(churn) = &baseline.churn {
-        println!(
-            "churn:    {} miners, {} steps+deltas in {:.3} s -> {:.0} /sec",
-            churn.miners, churn.work, churn.wall_secs, churn.per_sec
-        );
-    }
-    if let Some(ensemble) = &baseline.ensemble {
-        println!(
-            "ensemble: {} miners, {} replicas in {:.3} s -> {:.2} replicas/sec \
-             ({ENSEMBLE_THREADS} threads)",
-            ensemble.miners, ensemble.work, ensemble.wall_secs, ensemble.per_sec
-        );
-    }
-    if let Some(server) = &baseline.server {
-        println!(
-            "server:   {} miners/request, {} requests in {:.3} s -> {:.1} requests/sec",
-            server.miners, server.work, server.wall_secs, server.per_sec
-        );
-    }
-    if let Some(snapshot) = &baseline.snapshot {
-        for (label, layer) in [
-            ("encode", &snapshot.encode),
-            ("decode", &snapshot.decode),
-            ("fork", &snapshot.fork),
-        ] {
-            println!(
-                "snapshot: {:<6} {} miners, {} ops in {:.3} s -> {:.1} ops/sec",
-                label, layer.miners, layer.work, layer.wall_secs, layer.per_sec
-            );
-        }
-    }
-    if let Some(telemetry) = &baseline.telemetry {
-        println!(
-            "telemetry: {} miners, {} steps in {:.3} s -> {:.0} steps/sec instrumented \
-             ({:.0}% of bare dynamics)",
-            telemetry.miners,
-            telemetry.work,
-            telemetry.wall_secs,
-            telemetry.per_sec,
-            100.0 * telemetry.per_sec / baseline.dynamics.per_sec.max(1e-9)
-        );
-    }
-    if let Some(tracing) = &baseline.tracing {
-        println!(
-            "tracing:  {} miners, {} steps in {:.3} s -> {:.0} steps/sec flight-recorded \
-             ({:.0}% of bare dynamics)",
-            tracing.miners,
-            tracing.work,
-            tracing.wall_secs,
-            tracing.per_sec,
-            100.0 * tracing.per_sec / baseline.dynamics.per_sec.max(1e-9)
-        );
-    }
     let json = serde_json::to_string_pretty(&baseline).expect("baseline serializes");
     match std::fs::write(out, json + "\n") {
         Ok(()) => {
@@ -623,46 +547,80 @@ fn record(quick: bool, out: &Path) -> ExitCode {
     }
 }
 
-/// Validates that a recorded layer is something this machine can
-/// honestly re-measure: a zero or absurd miner count means the file is
-/// corrupt or was recorded on hardware this gate cannot emulate — a
-/// named error, never a panic mid-allocation or a silent pass.
-fn checkable(label: &str, recorded: &LayerBaseline) -> Result<(), String> {
-    if recorded.miners == 0 {
-        return Err(format!(
-            "baseline metric `{label}` records a zero miner count — the file is corrupt"
-        ));
+/// Every reason `baseline` cannot be honestly re-measured and gated,
+/// each naming its layer. The layer names must equal [`layer_names`]
+/// (a missing layer would leave its workload ungated), and each layer
+/// must record a population this machine can allocate, a work count
+/// inside the gate's envelope, and a finite positive wall time and
+/// throughput (a `per_sec` ≤ 0 would put the floor at or below zero,
+/// so the layer would pass whatever it measured).
+fn validate(baseline: &Baseline) -> Result<(), Vec<String>> {
+    let expected = layer_names();
+    let mut errors = Vec::new();
+    for name in &expected {
+        match baseline.layers.iter().filter(|l| &l.name == name).count() {
+            0 => errors.push(format!(
+                "layer `{name}` is missing, so its workload would be ungated"
+            )),
+            1 => {}
+            count => errors.push(format!("layer `{name}` is recorded {count} times")),
+        }
     }
-    if recorded.miners > MAX_GATE_MINERS {
-        return Err(format!(
-            "baseline metric `{label}` records {} miners, beyond the {MAX_GATE_MINERS} this \
-             machine can allocate for the gate — re-record the baseline on gate-class hardware",
-            recorded.miners
-        ));
+    for layer in &baseline.layers {
+        let name = &layer.name;
+        if !expected.contains(name) {
+            errors.push(format!("layer `{name}` is unknown to this binary"));
+            continue;
+        }
+        if !(1..=MAX_GATE_MINERS).contains(&layer.miners) {
+            errors.push(format!(
+                "layer `{name}` records {} miners, outside the gate's 1..={MAX_GATE_MINERS}: \
+                 the file is corrupt or was recorded on hardware this gate cannot emulate",
+                layer.miners
+            ));
+        }
+        let max_work = match name.as_str() {
+            "ensemble" => MAX_GATE_REPLICAS,
+            "server" => MAX_GATE_REQUESTS,
+            _ => u64::MAX,
+        };
+        if layer.work == 0 {
+            errors.push(format!("layer `{name}` records zero work"));
+        } else if layer.work > max_work {
+            errors.push(format!(
+                "layer `{name}` records {} work units, beyond the {max_work} this gate will \
+                 re-measure",
+                layer.work
+            ));
+        }
+        for (field, value) in [("wall_secs", layer.wall_secs), ("per_sec", layer.per_sec)] {
+            if !(value.is_finite() && value > 0.0) {
+                errors.push(format!(
+                    "layer `{name}` records {field} = {value}, not a finite positive number"
+                ));
+            }
+        }
     }
-    Ok(())
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
 }
 
-/// One gate comparison; pushes the label onto `regressed` on failure.
-fn gate(
-    label: &str,
-    measured: &LayerBaseline,
-    recorded: &LayerBaseline,
-    tolerance: f64,
-    regressed: &mut Vec<String>,
-) {
+/// One gate comparison; returns whether `measured` clears the floor.
+fn gate(measured: &Layer, recorded: &Layer, tolerance: f64) -> bool {
     let floor = recorded.per_sec * tolerance;
     let ok = measured.per_sec >= floor;
     println!(
-        "{} {label:<28} measured {:>12.0}/s vs recorded {:>12.0}/s (floor {:>12.0}/s)",
+        "{} {:<28} measured {:>12.0}/s vs recorded {:>12.0}/s (floor {:>12.0}/s)",
         if ok { "[PASS]" } else { "[FAIL]" },
+        measured.name,
         measured.per_sec,
         recorded.per_sec,
         floor
     );
-    if !ok {
-        regressed.push(label.to_string());
-    }
+    ok
 }
 
 fn check(file: &Path, tolerance: f64) -> ExitCode {
@@ -683,189 +641,41 @@ fn check(file: &Path, tolerance: f64) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(errors) = validate(&recorded) {
+        for error in errors {
+            eprintln!("error: {}: {error}", file.display());
+        }
+        return ExitCode::FAILURE;
+    }
     println!(
         "perf gate: re-measuring {} (baseline {}) at tolerance {tolerance}",
         file.display(),
         recorded.baseline
     );
-    // A missing layer means the gate is NOT covering a workload this
-    // binary records — warn loudly instead of silently passing, so a
-    // newly added layer cannot dodge the gate by pointing it at an
-    // older BENCH_*.json.
-    let missing: Vec<&str> = [
-        ("schedulers", recorded.schedulers.is_none()),
-        ("churn", recorded.churn.is_none()),
-        ("ensemble", recorded.ensemble.is_none()),
-        ("server", recorded.server.is_none()),
-        ("snapshot", recorded.snapshot.is_none()),
-        ("telemetry", recorded.telemetry.is_none()),
-        ("tracing", recorded.tracing.is_none()),
-    ]
-    .into_iter()
-    .filter_map(|(layer, absent)| absent.then_some(layer))
-    .collect();
-    if !missing.is_empty() {
-        eprintln!(
-            "warning: {} lacks the {} layer(s) this binary records — those workloads are \
-             UNGATED; re-record with `cargo run --release -p goc-bench --bin baseline`",
-            file.display(),
-            missing.join(", ")
-        );
-    }
-    // Refuse unallocatable or corrupt recordings up front, by name.
-    let mut layers: Vec<(&str, &LayerBaseline)> =
-        vec![("dynamics", &recorded.dynamics), ("sim", &recorded.sim)];
-    for entry in recorded.schedulers.as_deref().unwrap_or(&[]) {
-        layers.push(("scheduler", &entry.layer));
-    }
-    if let Some(churn) = &recorded.churn {
-        layers.push(("churn", churn));
-    }
-    if let Some(ensemble) = &recorded.ensemble {
-        layers.push(("ensemble", ensemble));
-    }
-    if let Some(server) = &recorded.server {
-        layers.push(("server", server));
-    }
-    if let Some(snapshot) = &recorded.snapshot {
-        layers.push(("snapshot/encode", &snapshot.encode));
-        layers.push(("snapshot/decode", &snapshot.decode));
-        layers.push(("snapshot/fork", &snapshot.fork));
-    }
-    if let Some(telemetry) = &recorded.telemetry {
-        layers.push(("telemetry", telemetry));
-    }
-    if let Some(tracing) = &recorded.tracing {
-        layers.push(("tracing", tracing));
-    }
-    for (label, layer) in &layers {
-        if let Err(e) = checkable(label, layer) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     let mut regressed: Vec<String> = Vec::new();
-    let mut ok = true;
-    // Re-measure at the *recorded* miner counts so the comparison is
-    // apples-to-apples, with fewer repeats than a recording run.
-    gate(
-        "dynamics",
-        &dynamics_baseline(recorded.dynamics.miners, 2),
-        &recorded.dynamics,
-        tolerance,
-        &mut regressed,
-    );
-    gate(
-        "sim",
-        &sim_baseline(recorded.sim.miners, 2),
-        &recorded.sim,
-        tolerance,
-        &mut regressed,
-    );
-    for entry in recorded.schedulers.as_deref().unwrap_or(&[]) {
-        let Some(kind) = SchedulerKind::ALL
-            .into_iter()
-            .find(|k| k.name() == entry.scheduler)
-        else {
-            eprintln!("error: unknown recorded scheduler `{}`", entry.scheduler);
-            ok = false;
-            continue;
-        };
-        gate(
-            &format!("scheduler/{}", entry.scheduler),
-            &scheduler_baseline(kind, entry.layer.miners, 2).layer,
-            &entry.layer,
-            tolerance,
-            &mut regressed,
-        );
-    }
-    if let Some(churn) = &recorded.churn {
-        gate(
-            "churn",
-            &churn_baseline(churn.miners, 2),
-            churn,
-            tolerance,
-            &mut regressed,
-        );
-    }
-    if let Some(ensemble) = &recorded.ensemble {
-        if ensemble.work == 0 || ensemble.work > MAX_GATE_REPLICAS {
-            eprintln!(
-                "error: baseline metric `ensemble` records {} replicas, outside the gate's \
-                 1..={MAX_GATE_REPLICAS} envelope — the file is corrupt or was recorded for a \
-                 workload this gate will not re-measure",
-                ensemble.work
-            );
-            ok = false;
-        } else {
-            gate(
-                "ensemble",
-                &ensemble_baseline(ensemble.miners, ensemble.work as usize, 2),
-                ensemble,
-                tolerance,
-                &mut regressed,
-            );
+    // Re-measure at the *recorded* miner (and replica / request) counts
+    // so the comparison is apples-to-apples.
+    for workload in Workload::all() {
+        let plan = recorded
+            .layer(&workload.names()[0])
+            .expect("validated baselines hold every layer");
+        for measured in workload.measure(plan.miners, plan.work, CHECK_REPEATS) {
+            let layer = recorded
+                .layer(&measured.name)
+                .expect("validated baselines hold every layer");
+            if !gate(&measured, layer, tolerance) {
+                regressed.push(measured.name);
+            }
         }
     }
-    if let Some(server) = &recorded.server {
-        if server.work == 0 || server.work > MAX_GATE_REQUESTS {
-            eprintln!(
-                "error: baseline metric `server` records {} requests, outside the gate's \
-                 1..={MAX_GATE_REQUESTS} envelope — the file is corrupt or was recorded for a \
-                 workload this gate will not re-measure",
-                server.work
-            );
-            ok = false;
-        } else {
-            gate(
-                "server",
-                &server_baseline(server.miners, server.work as usize, 2),
-                server,
-                tolerance,
-                &mut regressed,
-            );
-        }
-    }
-    if let Some(snapshot) = &recorded.snapshot {
-        // All three codec ops are re-measured at the recorded miner
-        // count in one pass (they share the tracker build).
-        let measured = snapshot_baseline(snapshot.encode.miners, 2);
-        for (label, measured, recorded) in [
-            ("snapshot/encode", &measured.encode, &snapshot.encode),
-            ("snapshot/decode", &measured.decode, &snapshot.decode),
-            ("snapshot/fork", &measured.fork, &snapshot.fork),
-        ] {
-            gate(label, measured, recorded, tolerance, &mut regressed);
-        }
-    }
-    if let Some(telemetry) = &recorded.telemetry {
-        gate(
-            "telemetry",
-            &telemetry_baseline(telemetry.miners, 2),
-            telemetry,
-            tolerance,
-            &mut regressed,
-        );
-    }
-    if let Some(tracing) = &recorded.tracing {
-        gate(
-            "tracing",
-            &tracing_baseline(tracing.miners, 2),
-            tracing,
-            tolerance,
-            &mut regressed,
-        );
-    }
-    if ok && regressed.is_empty() {
+    if regressed.is_empty() {
         println!("perf gate passed");
         ExitCode::SUCCESS
     } else {
-        if !regressed.is_empty() {
-            eprintln!(
-                "error: throughput regressed below tolerance × recorded baseline for: {}",
-                regressed.join(", ")
-            );
-        }
+        eprintln!(
+            "error: throughput regressed below tolerance × recorded baseline for: {}",
+            regressed.join(", ")
+        );
         ExitCode::FAILURE
     }
 }
@@ -922,5 +732,128 @@ fn main() -> ExitCode {
     match check_file {
         Some(file) => check(&file, tolerance),
         None => record(quick, &out),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline the CI gate checks.
+    const COMMITTED: &str = include_str!("../../../../BENCH_10.json");
+
+    fn committed() -> Baseline {
+        serde_json::from_str(COMMITTED).expect("BENCH_10.json parses")
+    }
+
+    fn refusals(baseline: &Baseline) -> Vec<String> {
+        validate(baseline).expect_err("the baseline is refused")
+    }
+
+    #[test]
+    fn the_committed_baseline_is_gateable() {
+        let baseline = committed();
+        assert_eq!(validate(&baseline), Ok(()));
+        let names: Vec<String> = baseline.layers.iter().map(|l| l.name.clone()).collect();
+        assert_eq!(names, layer_names());
+        assert_eq!(names.len(), 16);
+    }
+
+    #[test]
+    fn the_committed_baseline_keeps_its_recorded_numbers() {
+        let baseline = committed();
+        assert_eq!(
+            baseline.layer("dynamics"),
+            Some(&Layer {
+                name: "dynamics".into(),
+                miners: 100000,
+                work: 45000,
+                wall_secs: 0.041670771,
+                per_sec: 1079893.6261582489,
+            })
+        );
+        assert_eq!(
+            baseline.layer("server"),
+            Some(&Layer {
+                name: "server".into(),
+                miners: 1000,
+                work: 32,
+                wall_secs: 0.04104117,
+                per_sec: 779.7048670883407,
+            })
+        );
+    }
+
+    #[test]
+    fn a_degenerate_throughput_is_refused_by_name() {
+        let mut baseline = committed();
+        baseline.layers[3].per_sec = 0.0;
+        let errors = refusals(&baseline);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].contains("`scheduler/uniform-random`"),
+            "{errors:?}"
+        );
+        assert!(errors[0].contains("per_sec"), "{errors:?}");
+    }
+
+    #[test]
+    fn corrupt_counts_and_times_are_refused_by_name() {
+        let mut baseline = committed();
+        for layer in &mut baseline.layers {
+            match layer.name.as_str() {
+                "dynamics" => layer.miners = 0,
+                "sim" => layer.miners = MAX_GATE_MINERS + 1,
+                "churn" => layer.work = 0,
+                "ensemble" => layer.work = MAX_GATE_REPLICAS + 1,
+                "server" => layer.work = MAX_GATE_REQUESTS + 1,
+                "telemetry" => layer.wall_secs = f64::NAN,
+                "tracing" => layer.per_sec = f64::INFINITY,
+                _ => {}
+            }
+        }
+        let errors = refusals(&baseline);
+        assert_eq!(errors.len(), 7, "{errors:?}");
+        for name in [
+            "dynamics",
+            "sim",
+            "churn",
+            "ensemble",
+            "server",
+            "telemetry",
+            "tracing",
+        ] {
+            let quoted = format!("`{name}`");
+            assert!(errors.iter().any(|e| e.contains(&quoted)), "{errors:?}");
+        }
+    }
+
+    #[test]
+    fn a_missing_or_unknown_layer_is_refused_by_name() {
+        let mut baseline = committed();
+        baseline.layers.retain(|l| l.name != "tracing");
+        let errors = refusals(&baseline);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("`tracing` is missing"), "{errors:?}");
+
+        let mut baseline = committed();
+        let mut extra = baseline.layers[2].clone();
+        extra.name = "scheduler/nope".into();
+        baseline.layers.push(extra);
+        let errors = refusals(&baseline);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(
+            errors[0].contains("`scheduler/nope` is unknown"),
+            "{errors:?}"
+        );
+
+        let mut baseline = committed();
+        let twice = baseline.layers[0].clone();
+        baseline.layers.push(twice);
+        let errors = refusals(&baseline);
+        assert!(
+            errors[0].contains("`dynamics` is recorded 2 times"),
+            "{errors:?}"
+        );
     }
 }

@@ -35,8 +35,8 @@
 //!
 //! Timing convention: wall-clock only ever appears in `secs`/`per_sec`
 //! params, tables titled `timing`, and checks named `wall` — the golden
-//! comparator strips exactly those. Recorded churn throughput lives in
-//! `BENCH_4.json` (see `goc-bench`'s `baseline` bin and the CI perf
+//! comparator strips exactly those. Recorded churn throughput is the
+//! `churn` layer of `goc-bench`'s `baseline` bin (and the CI perf
 //! gate).
 
 use std::time::Instant;

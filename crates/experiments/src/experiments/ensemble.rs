@@ -29,9 +29,9 @@
 //!
 //! Timing convention: wall-clock only ever appears in `secs`/`per_sec`
 //! params, tables titled `timing`, and checks named `wall` — the golden
-//! comparator strips exactly those. Recorded ensemble throughput lives
-//! in `BENCH_5.json` (see `goc-bench`'s `baseline` bin and the CI perf
-//! gate).
+//! comparator strips exactly those. Recorded ensemble throughput is
+//! the `ensemble` layer of `goc-bench`'s `baseline` bin (and the CI
+//! perf gate).
 
 use std::time::Instant;
 

@@ -16,7 +16,7 @@
 //! `wall`. The golden-file comparator (`tests/golden.rs`) strips exactly
 //! those, so the *results* of this experiment are regression-locked while
 //! its throughput numbers float with the hardware. The recorded baseline
-//! throughput lives in `BENCH_2.json` (see `goc-bench`'s `baseline` bin).
+//! throughput is the `dynamics` layer of `goc-bench`'s `baseline` bin.
 
 use std::time::Instant;
 
@@ -31,8 +31,8 @@ use crate::{Experiment, RunContext};
 /// The scale experiment.
 pub struct Scale;
 
-/// The shared fixture game (`goc_sim::fixtures`), so the experiment,
-/// the benches, and the `BENCH_2.json` recorder measure one workload.
+/// The shared fixture game (`goc_sim::fixtures`), so the experiment
+/// and the `baseline` recorder's `dynamics` layer measure one workload.
 fn class_game(n: usize) -> Game {
     scale_class_game(n)
 }

@@ -27,8 +27,8 @@
 //! params, tables titled `timing`, and checks named `wall` — the golden
 //! comparator strips exactly those, so results are regression-locked
 //! while throughput floats with the hardware. Recorded per-scheduler
-//! throughput lives in `BENCH_3.json` (see `goc-bench`'s `baseline`
-//! bin and the CI perf gate).
+//! throughput is the `scheduler/<kind>` layers of `goc-bench`'s
+//! `baseline` bin (and the CI perf gate).
 
 use std::time::Instant;
 

@@ -42,7 +42,7 @@
 //! Timing convention: wall clock only appears in `secs`/`per_sec`
 //! params, tables titled `timing`, and checks named `wall` — the
 //! golden comparator strips exactly those. Recorded request throughput
-//! lives in `BENCH_6.json` (the `baseline` bin's `server` layer).
+//! is the `server` layer of `goc-bench`'s `baseline` bin.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

@@ -10,7 +10,7 @@
 //!   constant-reward case, which strictly *decreases* along better-response
 //!   steps.
 //! * [`four_cycle_defect`] / [`has_exact_potential`] — the Monderer–Shapley
-//!   4-cycle criterion behind **Proposition 1** (the game has no exact
+//!   4-cycle condition behind **Proposition 1** (the game has no exact
 //!   potential in general).
 
 use std::cmp::Ordering;
@@ -176,7 +176,7 @@ pub fn four_cycle_defect(
     d1 + d2 + d3 + d4
 }
 
-/// Exhaustively checks the Monderer–Shapley criterion: returns `true` iff
+/// Exhaustively checks the Monderer–Shapley 4-cycle condition: returns `true` iff
 /// every 4-cycle defect vanishes, i.e. the game has an exact potential.
 ///
 /// # Errors
@@ -289,7 +289,7 @@ mod tests {
 
     #[test]
     fn trivial_game_has_exact_potential() {
-        // A single coin: no moves at all, so the criterion holds vacuously.
+        // A single coin: no moves at all, so the condition holds vacuously.
         let g = Game::build(&[2, 1], &[1]).unwrap();
         assert!(has_exact_potential(&g, 1 << 16).unwrap());
     }

@@ -987,7 +987,7 @@ mod tests {
         // 3k miners in 6 power classes over 3 coins: convergence must
         // take a number of steps linear-ish in the population and stay
         // well under a second (the 100k case is exercised by the `scale`
-        // experiment and the benches).
+        // experiment and the `baseline` recorder).
         let classes: [u64; 6] = [1, 2, 3, 5, 8, 13];
         let powers: Vec<u64> = (0..3_000).map(|i| classes[i % classes.len()]).collect();
         let game = Game::build(&powers, &[60, 30, 10]).unwrap();

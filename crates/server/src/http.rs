@@ -15,7 +15,8 @@
 //!   ([`goc_telemetry::TraceSnapshot::to_chrome_json`]).
 //!
 //! One request per connection (`Connection: close`), bounded buffered
-//! header reads, a read timeout and a whole-response write deadline,
+//! header reads, a whole-head read deadline and a whole-response write
+//! deadline,
 //! unknown paths 404, non-GET methods 405. Deliberately not a web
 //! framework: three routes, a handful of lines each, no keep-alive, no
 //! TLS — scrape traffic on a trusted network.
@@ -34,9 +35,10 @@ use crate::server::ServerError;
 /// requests fit in well under a hundred bytes).
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// How long one read on a scrape socket may block, and how long the
+/// How long the whole request head may take to arrive, and how long the
 /// whole response may take to write, before the exporter drops that
-/// connection: a stalled scraper costs a bounded wait, not liveness.
+/// connection: a stalled or dribbling scraper costs a bounded wait, not
+/// liveness.
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The scrape endpoint: binds its own listener (separate from the wire
@@ -83,20 +85,38 @@ impl HttpExporter {
         thread::spawn(move || {
             for incoming in self.listener.incoming() {
                 let Ok(stream) = incoming else { continue };
-                // A stalled scraper must not wedge the endpoint
-                // (`respond` bounds the write side).
-                stream.set_read_timeout(Some(SCRAPE_TIMEOUT)).ok();
                 serve_one(stream, &self.observe);
             }
         })
     }
 }
 
+/// A scrape socket read that fails once `deadline` passes. The socket's
+/// read timeout is re-armed to the time left before every read, so a
+/// peer that dribbles bytes cannot stretch the total past the deadline
+/// (the read-side twin of [`write_by`]).
+struct ReadBy<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for ReadBy<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// Reads the request head (line by line through a buffer, up to the
-/// blank line, bounded) and returns `(method, path)` from its request
-/// line.
+/// blank line, bounded in size and by [`SCRAPE_TIMEOUT`] in total) and
+/// returns `(method, path)` from its request line.
 fn read_request_line(stream: &TcpStream) -> Option<(String, String)> {
-    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES as u64));
+    let deadline = Instant::now() + SCRAPE_TIMEOUT;
+    let mut reader = BufReader::new(ReadBy { stream, deadline }.take(MAX_HEAD_BYTES as u64));
     let mut head = Vec::with_capacity(256);
     loop {
         let start = head.len();
@@ -295,5 +315,43 @@ mod tests {
             clock.elapsed()
         );
         drop(stalled);
+    }
+
+    #[test]
+    fn a_scraper_that_dribbles_its_head_cannot_wedge_the_endpoint() {
+        // One head byte every 200 ms, never the blank line: each read
+        // returns well inside any per-read timeout, so only a deadline
+        // on the whole head frees the sequential exporter.
+        let (addr, _registry, _tracer) = boot(TraceRecorder::new(64));
+        let mut slow = TcpStream::connect(addr).unwrap();
+        // Detached: it stops once the exporter drops the connection (or
+        // after 64 bytes, ~13 s, should the exporter never let go).
+        thread::spawn(move || {
+            let head = b"GET /healthz HTTP/1.1\r\nX-Dribble: ";
+            for byte in head.iter().chain(std::iter::repeat(&b'a')).take(64) {
+                if slow.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                thread::sleep(Duration::from_millis(200));
+            }
+        });
+        // Let the exporter accept the dribbler first.
+        thread::sleep(Duration::from_millis(300));
+        let clock = Instant::now();
+        let mut health = TcpStream::connect(addr).unwrap();
+        health.set_read_timeout(Some(3 * SCRAPE_TIMEOUT)).unwrap();
+        health
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        health
+            .read_to_string(&mut response)
+            .expect("/healthz answers while a scraper dribbles its head");
+        assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+        assert!(
+            clock.elapsed() < 3 * SCRAPE_TIMEOUT,
+            "/healthz took {:?}",
+            clock.elapsed()
+        );
     }
 }

@@ -108,9 +108,8 @@ impl ChurnUniverse {
     /// better-response steps: delta `i` fires after `(i + 1) × stride`
     /// steps with `stride = max(1, expected_steps / (deltas + 1))`,
     /// preserving timeline order. This is the **single** stride policy
-    /// the `churn` experiment, the churn benches, and the
-    /// `BENCH_4.json` recorder all share — change it here, not at a
-    /// call site.
+    /// the `churn` experiment and the `baseline` recorder's `churn`
+    /// layer share — change it here, not at a call site.
     pub fn step_deltas(&self, expected_steps: usize) -> Vec<(usize, Delta)> {
         stride_deltas(&self.deltas, expected_steps)
     }

@@ -1,8 +1,8 @@
 //! The shared large-population fixture.
 //!
-//! The `scale` experiment, the `goc-bench` large-population benches, and
-//! the `baseline` recorder (the bin behind `BENCH_2.json`) must all
-//! measure the **same** workload, or the recorded baseline silently
+//! The `scale` experiment and the `baseline` recorder's `dynamics`,
+//! `sim` and `scheduler/*` layers (`BENCH_10.json`) must all measure
+//! the **same** workload, or the recorded baseline silently
 //! stops describing what the experiment runs. This module is that single
 //! source of truth: eight hashrate classes ([`SCALE_CLASSES`]) and the
 //! two populations built from them — a static game
@@ -142,8 +142,8 @@ pub fn scale_churn_base(n: usize, horizon_days: f64, seed: u64) -> ScenarioSpec 
 /// arrival/departure processes sized so the *expected* total turnover
 /// is ≈ `1.5 × turnover_pct%` of the head-count (the margin keeps
 /// realized turnover above the target with high probability). This is
-/// the single source of truth for the `churn` experiment, the churn
-/// benches, and the `BENCH_*.json` recorder.
+/// the single source of truth for the `churn` experiment and the
+/// `baseline` recorder's `churn` layer.
 pub fn scale_churn_scenario(
     n: usize,
     horizon_days: f64,
