@@ -1,10 +1,11 @@
 //! Golden-file regression tests: the structured JSON reports of
 //! `goc run <exp> --json --quick --seed 7` are snapshotted under
-//! `tests/golden/` for `fig1`, `attack`, `scale`, `schedulers`,
-//! `churn`, `ensemble`, and `serve`. A future perf
-//! refactor that silently changes *results* (tables, charts, check
-//! verdicts, artifacts) fails here; throughput is free to float because
-//! the comparator strips the timing conventions the reports follow:
+//! `tests/golden/` for every registered experiment (a test pins the
+//! list to the registry, so a new experiment cannot skip its golden).
+//! A future perf or simplicity refactor that silently changes *results*
+//! (tables, charts, check verdicts, artifacts) fails here; throughput is
+//! free to float because the comparator strips the timing conventions
+//! the reports follow:
 //!
 //! * `params` whose key contains `secs` or `per_sec`,
 //! * report items (tables/charts) whose title contains `timing`,
@@ -12,6 +13,9 @@
 //! * the `detail` of checks whose name contains `wall` (their pass/fail
 //!   verdict is still compared),
 //! * artifacts whose name contains `timing`.
+//!
+//! The same normalized report must also come back unchanged at 4 worker
+//! threads: the thread count is a speed knob, never a result knob.
 //!
 //! Regenerate after an *intentional* result change with:
 //!
@@ -22,13 +26,27 @@
 //! and commit the refreshed files under `tests/golden/`.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 use gameofcoins::experiments::{self, RunContext};
 use serde_json::Value;
 
-const GOLDEN_EXPERIMENTS: [&str; 7] = [
+/// Every registered experiment, in registry order.
+const GOLDEN_EXPERIMENTS: [&str; 19] = [
     "fig1",
+    "prop1",
+    "thm1",
+    "appendix_a",
+    "appendix_b",
+    "prop2",
+    "alg2",
+    "speed",
     "attack",
+    "asym",
+    "cross",
+    "ablation",
+    "sync",
+    "poa",
     "scale",
     "schedulers",
     "churn",
@@ -40,12 +58,33 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-fn run_report_json(name: &str) -> Value {
+/// The normalized `threads = 1` report of a golden experiment, run once
+/// per test binary and shared by every test that compares against it.
+fn reference(name: &str) -> Value {
+    static REFERENCES: [OnceLock<Value>; GOLDEN_EXPERIMENTS.len()] =
+        [const { OnceLock::new() }; GOLDEN_EXPERIMENTS.len()];
+    let slot = GOLDEN_EXPERIMENTS
+        .iter()
+        .position(|&golden| golden == name)
+        .expect("a golden experiment");
+    REFERENCES[slot]
+        .get_or_init(|| normalized_run(name, 1))
+        .clone()
+}
+
+/// A fresh run of `name` at `threads` workers, timing stripped.
+fn normalized_run(name: &str, threads: usize) -> Value {
+    let mut report = run_report_json(name, threads);
+    normalize(&mut report);
+    report
+}
+
+fn run_report_json(name: &str, threads: usize) -> Value {
     let experiment = experiments::find(name).expect("experiment is registered");
     let ctx = RunContext {
         seed: 7,
         quick: true,
-        threads: 1,
+        threads,
         ..RunContext::default()
     };
     let report = experiment.run(&ctx);
@@ -115,8 +154,7 @@ fn golden_reports_are_stable() {
     let dir = golden_dir();
     for name in GOLDEN_EXPERIMENTS {
         let path = dir.join(format!("{name}.json"));
-        let mut fresh = run_report_json(name);
-        normalize(&mut fresh);
+        let fresh = reference(name);
         if update {
             std::fs::create_dir_all(&dir).expect("golden dir is writable");
             let text = serde_json::to_string_pretty(&fresh).expect("normalized report serializes");
@@ -148,11 +186,61 @@ fn golden_reports_are_stable() {
 fn golden_runs_are_deterministic() {
     // The premise of the snapshot: same context, same report.
     for name in GOLDEN_EXPERIMENTS {
-        let mut a = run_report_json(name);
-        let mut b = run_report_json(name);
-        normalize(&mut a);
-        normalize(&mut b);
-        assert_eq!(a, b, "{name} is not deterministic under a fixed context");
+        let fresh = normalized_run(name, 1);
+        assert_eq!(
+            fresh,
+            reference(name),
+            "{name} is not deterministic under a fixed context"
+        );
+    }
+}
+
+#[test]
+fn every_registered_experiment_has_a_golden() {
+    let registered: Vec<&str> = experiments::registry().iter().map(|e| e.name()).collect();
+    assert_eq!(GOLDEN_EXPERIMENTS.to_vec(), registered);
+}
+
+/// Strips what echoes the worker-thread count by design, and nothing
+/// else: the `ensemble` experiment's `threads` param and the `detail`
+/// of its `aggregate_is_thread_invariant` check, which lists the thread
+/// counts it compared (its verdict still counts).
+fn strip_thread_echoes(report: &mut Value) {
+    let Value::Object(fields) = report else {
+        panic!("report must be a JSON object");
+    };
+    for (key, value) in fields.iter_mut() {
+        match (key.as_str(), value) {
+            ("params", Value::Array(params)) => params.retain(|entry| {
+                !matches!(entry, Value::Array(kv)
+                    if matches!(kv.first(), Some(Value::String(k)) if k == "threads"))
+            }),
+            ("checks", Value::Array(checks)) => {
+                for check in checks {
+                    let echoes = matches!(check.get("name"),
+                        Some(Value::String(n)) if n == "aggregate_is_thread_invariant");
+                    if let (true, Value::Object(fields)) = (echoes, check) {
+                        for (key, value) in fields.iter_mut() {
+                            if key == "detail" {
+                                *value = Value::String(String::new());
+                            }
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn reports_are_thread_invariant() {
+    for name in GOLDEN_EXPERIMENTS {
+        let mut four = normalized_run(name, 4);
+        let mut one = reference(name);
+        strip_thread_echoes(&mut four);
+        strip_thread_echoes(&mut one);
+        assert_eq!(one, four, "{name} changed between 1 and 4 worker threads");
     }
 }
 
