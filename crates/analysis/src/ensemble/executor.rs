@@ -1,11 +1,14 @@
 //! The workspace's **one parallel substrate**: a work-stealing indexed
 //! executor over `std::thread::scope`.
 //!
-//! Both the Monte-Carlo replica ensemble ([`crate::ensemble::run`]) and
-//! the experiment sweep runner ([`crate::sweep::parallel_map`]) dispatch
-//! through [`run_indexed`]; there is no other thread-spawning code in
-//! the workspace. The contract:
+//! The Monte-Carlo replica ensemble ([`crate::ensemble::run`]), the
+//! experiments' parameter sweeps and `goc sweep` ([`parallel_map`]), and
+//! the server's wire sweeps all dispatch through [`run_indexed`]; there
+//! is no other thread-spawning code in the workspace. The contract:
 //!
+//! * **one worker loop** — a lone worker (`threads = 1`, or at most one
+//!   task) runs it on the calling thread and spawns nothing; otherwise
+//!   `threads` scoped threads run it while the caller waits;
 //! * **input-ordered output** — results come back indexed by task, not
 //!   by completion order, so callers stay deterministic;
 //! * **work stealing** — workers pull the next undone index from a
@@ -25,42 +28,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-use goc_telemetry::{Counter, Registry};
-
-/// Telemetry handles for the executor's scheduling decisions — lock-free
-/// counters ticked from inside the worker loop (one relaxed increment
-/// per event; detached and free when the registry is disabled).
-///
-/// A task is **stolen** when the worker that claimed it is not the
-/// worker that would own its index under a static round-robin partition
-/// (`index % threads`): zero when the workers advance in lockstep,
-/// growing exactly when dynamic claiming absorbs load imbalance — the
-/// property the work-stealing counter exists to provide.
-#[derive(Debug, Clone)]
-pub struct ExecutorMetrics {
-    /// Tasks claimed by a worker (`goc_ensemble_replicas_started_total`).
-    pub started: Counter,
-    /// Tasks that ran to completion without panicking
-    /// (`goc_ensemble_replicas_finished_total`).
-    pub finished: Counter,
-    /// Tasks claimed off another worker's static share
-    /// (`goc_ensemble_steals_total`).
-    pub stolen: Counter,
-}
-
-impl ExecutorMetrics {
-    /// Registers the ensemble executor's counter family on `registry`.
-    /// (The fields are public, so a different subsystem riding
-    /// [`run_indexed_recorded`] can assemble its own names instead.)
-    pub fn register(registry: &Registry) -> Self {
-        ExecutorMetrics {
-            started: registry.counter("goc_ensemble_replicas_started_total"),
-            finished: registry.counter("goc_ensemble_replicas_finished_total"),
-            stolen: registry.counter("goc_ensemble_steals_total"),
-        }
-    }
-}
 
 /// A task panicked inside the executor: the failing item's index plus
 /// the stringified panic payload.
@@ -98,7 +65,8 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `task(0..count)` on up to `threads` work-stealing workers and
-/// returns the results **in index order**.
+/// returns the results **in index order**. A lone worker runs on the
+/// calling thread; more run on scoped threads while the caller waits.
 ///
 /// # Errors
 ///
@@ -125,102 +93,50 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    run_indexed_recorded(count, threads, task, None)
-}
-
-/// [`run_indexed`] with scheduling telemetry: every claim, completion,
-/// and steal ticks the corresponding [`ExecutorMetrics`] counter. With
-/// `None` (what [`run_indexed`] passes) the loop is byte-for-byte the
-/// uninstrumented one.
-///
-/// # Errors
-///
-/// As [`run_indexed`].
-pub fn run_indexed_recorded<R, F>(
-    count: usize,
-    threads: usize,
-    task: F,
-    metrics: Option<&ExecutorMetrics>,
-) -> Result<Vec<R>, WorkerPanic>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
     let threads = threads.max(1).min(count.max(1));
-    if threads <= 1 || count <= 1 {
-        // Sequential fast path with the same panic contract (one worker
-        // owns every index, so nothing is ever stolen).
-        let mut out = Vec::with_capacity(count);
-        for index in 0..count {
-            if let Some(metrics) = metrics {
-                metrics.started.inc();
-            }
-            match catch_unwind(AssertUnwindSafe(|| task(index))) {
-                Ok(r) => {
-                    if let Some(metrics) = metrics {
-                        metrics.finished.inc();
-                    }
-                    out.push(r);
-                }
-                Err(payload) => {
-                    return Err(WorkerPanic {
-                        index,
-                        message: panic_message(payload),
-                    })
-                }
-            }
-        }
-        return Ok(out);
-    }
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let first_panic: Mutex<Option<WorkerPanic>> = Mutex::new(None);
     // One slot per item; a worker only ever touches the slot of an index
     // it claimed from the counter, so the locks are uncontended.
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let (next, failed, first_panic) = (&next, &failed, &first_panic);
-            let (slots, task) = (&slots, &task);
-            scope.spawn(move || loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                if let Some(metrics) = metrics {
-                    metrics.started.inc();
-                    if index % threads != worker {
-                        metrics.stolen.inc();
+    let worker = || {
+        while !failed.load(Ordering::Relaxed) {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= count {
+                break;
+            }
+            // `AssertUnwindSafe`: the closure only writes through the
+            // per-index slot below on success, so a panic leaves no
+            // broken shared state behind.
+            match catch_unwind(AssertUnwindSafe(|| task(index))) {
+                Ok(r) => *slots[index].lock().expect("slot lock is panic-free") = Some(r),
+                Err(payload) => {
+                    let mut slot = first_panic.lock().expect("panic slot is panic-free");
+                    if slot.as_ref().is_none_or(|p| index < p.index) {
+                        *slot = Some(WorkerPanic {
+                            index,
+                            message: panic_message(payload),
+                        });
                     }
+                    failed.store(true, Ordering::Relaxed);
                 }
-                // `AssertUnwindSafe`: the closure only writes through the
-                // per-index slot below on success, so a panic leaves no
-                // broken shared state behind.
-                match catch_unwind(AssertUnwindSafe(|| task(index))) {
-                    Ok(r) => {
-                        *slots[index].lock().expect("slot lock is panic-free") = Some(r);
-                        if let Some(metrics) = metrics {
-                            metrics.finished.inc();
-                        }
-                    }
-                    Err(payload) => {
-                        let mut slot = first_panic.lock().expect("panic slot is panic-free");
-                        if slot.as_ref().is_none_or(|p| index < p.index) {
-                            *slot = Some(WorkerPanic {
-                                index,
-                                message: panic_message(payload),
-                            });
-                        }
-                        failed.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
+            }
         }
-    });
+    };
+    if threads == 1 {
+        worker();
+    } else {
+        // The caller waits instead of working as one of the `threads`:
+        // measured on 2 cores, a helper spawned beside a busy caller
+        // often started only after the caller's first task, so 15–22% of
+        // 2-task batches ran serially (5% with the caller waiting).
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(worker);
+            }
+        });
+    }
     if let Some(panic) = first_panic.into_inner().expect("panic slot is panic-free") {
         return Err(panic);
     }
@@ -232,6 +148,38 @@ where
                 .expect("every slot filled by the executor")
         })
         .collect())
+}
+
+/// Runs `f` over `items` on up to `threads` workers (see
+/// [`run_indexed`]), returning outputs in input order.
+///
+/// # Panics
+///
+/// If `f` panics on some item, the panic is re-raised on the caller's
+/// thread with the failing item's index and the original message.
+///
+/// # Examples
+///
+/// ```
+/// use goc_analysis::parallel_map;
+/// let squares = parallel_map(&[1u64, 2, 3, 4], 2, |&x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16]);
+/// ```
+pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    run_indexed(items.len(), threads, |i| f(&items[i])).unwrap_or_else(|panic| panic!("{panic}"))
+}
+
+/// The number of worker threads to use by default: the available
+/// parallelism minus one (leave a core for the OS), at least one.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get().saturating_sub(1).max(1))
+        .unwrap_or(1)
 }
 
 /// Derives the `index`-th replica's RNG seed from a root seed: one
@@ -304,50 +252,74 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_claims_completions_and_steals() {
-        for threads in [1, 4] {
-            let registry = Registry::new();
-            let metrics = ExecutorMetrics::register(&registry);
-            let out = run_indexed_recorded(40, threads, |i| i, Some(&metrics)).unwrap();
-            assert_eq!(out.len(), 40);
-            let snap = registry.snapshot();
+    fn panicked_tasks_start_but_never_finish() {
+        // One worker claims in index order: items 0..=3 start, 0..3
+        // finish, and nothing after the panic is ever claimed.
+        let started = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
+        let err = run_indexed(8, 1, |i| {
+            started.fetch_add(1, Ordering::Relaxed);
+            assert!(i != 3, "boom");
+            finished.fetch_add(1, Ordering::Relaxed);
+            i
+        })
+        .unwrap_err();
+        assert_eq!(err.index, 3);
+        assert_eq!(started.into_inner(), 4);
+        assert_eq!(finished.into_inner(), 3);
+    }
+
+    #[test]
+    fn a_lone_worker_is_the_caller_and_a_pool_is_spawned() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            // The first `threads` tasks meet at a barrier. A worker holds
+            // one task at a time, so every worker runs one of them.
+            let barrier = std::sync::Barrier::new(threads);
+            let ids = run_indexed(16, threads, |i| {
+                if i < threads {
+                    barrier.wait();
+                }
+                std::thread::current().id()
+            })
+            .unwrap();
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert_eq!(distinct.len(), threads, "threads={threads}");
             assert_eq!(
-                snap.counter("goc_ensemble_replicas_started_total"),
-                Some(40)
+                ids.contains(&caller),
+                threads == 1,
+                "threads={threads}: only a lone worker runs on the caller"
             );
-            assert_eq!(
-                snap.counter("goc_ensemble_replicas_finished_total"),
-                Some(40)
-            );
-            let steals = snap.counter("goc_ensemble_steals_total").unwrap();
-            assert!(steals <= 40, "steals bounded by claims");
-            if threads == 1 {
-                assert_eq!(steals, 0, "one worker owns every index");
-            }
         }
     }
 
     #[test]
-    fn panicked_tasks_start_but_never_finish() {
-        let registry = Registry::new();
-        let metrics = ExecutorMetrics::register(&registry);
-        let err = run_indexed_recorded(
-            8,
-            1,
-            |i| {
-                assert!(i != 3, "boom");
-                i
-            },
-            Some(&metrics),
-        )
-        .unwrap_err();
-        assert_eq!(err.index, 3);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("goc_ensemble_replicas_started_total"), Some(4));
-        assert_eq!(
-            snap.counter("goc_ensemble_replicas_finished_total"),
-            Some(3)
-        );
+    fn preserves_order() {
+        let items: Vec<usize> = (0..100).collect();
+        let out = parallel_map(&items, 8, |&x| x * 2);
+        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn single_thread_fallback() {
+        let out = parallel_map(&[5], 4, |&x: &i32| x + 1);
+        assert_eq!(out, vec![6]);
+        let empty: Vec<i32> = parallel_map(&[], 4, |x: &i32| *x);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn default_threads_is_positive() {
+        assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked on item 2")]
+    fn parallel_map_reraises_with_index() {
+        parallel_map(&[0u32, 1, 2], 1, |&x| {
+            assert!(x != 2, "boom");
+            x
+        });
     }
 
     #[test]

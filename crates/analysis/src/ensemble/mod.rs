@@ -58,7 +58,7 @@ use goc_telemetry::Observe;
 use aggregate::{
     EquilibriumCensus, EquilibriumKey, FingerprintIndex, QuantileSketch, Welford, WelfordSummary,
 };
-use executor::{replica_seed, run_indexed_recorded, ExecutorMetrics};
+use executor::{replica_seed, run_indexed};
 
 /// Resolution (fraction of a rig's hashrate) used when quantizing churn
 /// scenarios to integer game powers — the same constant the `churn`
@@ -643,9 +643,10 @@ pub fn run(spec: &EnsembleSpec, threads: usize) -> Result<EnsembleReport, Ensemb
 /// there matches this spec, and otherwise built here and left there for
 /// the next call (see [`Universes`]). Records on `observe`:
 ///
-/// * metrics — executor scheduling counters
-///   ([`executor::ExecutorMetrics`]: replicas started / finished /
-///   stolen), the `goc_ensemble_replica_wall_secs` histogram,
+/// * metrics — replicas started and finished
+///   (`goc_ensemble_replicas_started_total`,
+///   `goc_ensemble_replicas_finished_total`; a panicked replica starts
+///   but never finishes), the `goc_ensemble_replica_wall_secs` histogram,
 ///   `goc_ensemble_universe_builds_total` (one per universe built, none
 ///   on reuse), and one [`DynamicsObserver`] shared by every replica
 ///   (`goc_dynamics_*`);
@@ -673,7 +674,12 @@ pub fn run_observed(
     universes: &Universes,
 ) -> Result<EnsembleReport, EnsembleError> {
     spec.validate()?;
-    let metrics = ExecutorMetrics::register(&observe.registry);
+    let started = observe
+        .registry
+        .counter("goc_ensemble_replicas_started_total");
+    let finished = observe
+        .registry
+        .counter("goc_ensemble_replicas_finished_total");
     let wall_hist = observe.registry.histogram("goc_ensemble_replica_wall_secs");
     let observer = DynamicsObserver::new(observe);
     let clock = Instant::now();
@@ -681,20 +687,17 @@ pub fn run_observed(
     // rebuilding its own (see `replica_with`).
     let shared = shared_snapshot(spec, universes, observe)
         .map_err(|error| EnsembleError::Replica { replica: 0, error })?;
-    let results = run_indexed_recorded(
-        spec.replicas,
-        threads,
-        |index| {
-            // One lane per replica invocation; the recorder's free list
-            // recycles them, so live lanes stay bounded by concurrency.
-            let lane = observe.tracer.lane();
-            lane.instant(TraceEventKind::ReplicaStart, index as u64);
-            let result = replica_with(spec, shared.as_deref(), index, Some((&lane, &observer)));
-            lane.instant(TraceEventKind::ReplicaFinish, index as u64);
-            result
-        },
-        Some(&metrics),
-    )
+    let results = run_indexed(spec.replicas, threads, |index| {
+        started.inc();
+        // One lane per replica invocation; the recorder's free list
+        // recycles them, so live lanes stay bounded by concurrency.
+        let lane = observe.tracer.lane();
+        lane.instant(TraceEventKind::ReplicaStart, index as u64);
+        let result = replica_with(spec, shared.as_deref(), index, Some((&lane, &observer)));
+        lane.instant(TraceEventKind::ReplicaFinish, index as u64);
+        finished.inc();
+        result
+    })
     .map_err(EnsembleError::Panicked)?;
     // First failing replica (results are index-ordered) wins.
     let mut records = Vec::with_capacity(results.len());

@@ -76,7 +76,7 @@ const REPLICA_CAP: usize = 64;
 const MINER_CAP: usize = 10_000;
 
 /// Worker threads of the load server. Fixed (not the context's count)
-/// so the registry backend's sweep chunking — and therefore the number
+/// so the server's sweep chunking — and therefore the number
 /// of `Progress` frames — is deterministic.
 const LOAD_THREADS: usize = 2;
 
@@ -346,16 +346,6 @@ impl Backend for GateBackend {
         } else {
             Err("gate release timed out".to_string())
         }
-    }
-
-    fn sweep(
-        &self,
-        _runs: &[ExperimentRequest],
-        _threads: usize,
-        _observe: &Observe,
-        _progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<Vec<RunReport>, String> {
-        Err("no sweeps behind the gate".to_string())
     }
 }
 

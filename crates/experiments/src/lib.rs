@@ -45,6 +45,7 @@
 use std::path::{Path, PathBuf};
 
 use goc_analysis::{parallel_map, RunReport};
+use goc_proto::ExperimentRequest;
 use goc_telemetry::Observe;
 use serde::{Deserialize, Serialize};
 
@@ -97,6 +98,22 @@ impl Default for RunContext {
 }
 
 impl RunContext {
+    /// The context an [`ExperimentRequest`] describes — a sweep-file
+    /// entry or a wire request — run on `threads` workers and observed
+    /// on `observe`. Unset knobs take their defaults: seed 0, full mode,
+    /// and the experiment's own scheduler, turnover and replica count.
+    pub fn of(request: &ExperimentRequest, threads: usize, observe: &Observe) -> Self {
+        RunContext {
+            seed: request.seed.unwrap_or(0),
+            threads,
+            quick: request.quick.unwrap_or(false),
+            scheduler: request.scheduler,
+            turnover_pct: request.turnover_pct,
+            replicas: request.replicas,
+            observe: observe.clone(),
+        }
+    }
+
     /// `full` when `quick` is unset, else `quick` — picks trial counts.
     pub fn scale(&self, full: usize, quick: usize) -> usize {
         if self.quick {
@@ -161,32 +178,14 @@ pub fn find(name: &str) -> Option<Box<dyn Experiment>> {
     registry().into_iter().find(|e| e.name() == name)
 }
 
-/// One entry of a sweep specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SweepRun {
-    /// Registry name of the experiment to run.
-    pub experiment: String,
-    /// Seed offset (default 0).
-    pub seed: Option<u64>,
-    /// Quick mode (default false).
-    pub quick: Option<bool>,
-    /// Pin scheduler sweeps to one kind, by serde variant name
-    /// (e.g. `"scheduler": "MaxGain"`; default: all kinds).
-    pub scheduler: Option<goc_learning::SchedulerKind>,
-    /// Turnover target in percent for the `churn` experiment
-    /// (default: the experiment's own default, 10).
-    pub turnover_pct: Option<u32>,
-    /// Flagship replica count for the `ensemble` experiment
-    /// (default: the experiment's own default, 64 full / 8 quick).
-    pub replicas: Option<usize>,
-}
-
 /// A sweep specification (`goc sweep --spec FILE`): a list of experiment
-/// runs fanned across worker threads, reported in input order.
+/// runs fanned across worker threads, reported in input order. Each
+/// entry is the wire's [`ExperimentRequest`], so a spec file's `runs`
+/// and a wire `Sweep`'s `runs` are the same JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// The runs, in output order.
-    pub runs: Vec<SweepRun>,
+    pub runs: Vec<ExperimentRequest>,
 }
 
 impl SweepSpec {
@@ -195,14 +194,7 @@ impl SweepSpec {
         SweepSpec {
             runs: registry()
                 .iter()
-                .map(|e| SweepRun {
-                    experiment: e.name().to_string(),
-                    seed: Some(0),
-                    quick: Some(true),
-                    scheduler: None,
-                    turnover_pct: None,
-                    replicas: None,
-                })
+                .map(|e| ExperimentRequest::quick(e.name()))
                 .collect(),
         }
     }
@@ -223,8 +215,8 @@ impl SweepSpec {
 }
 
 /// Runs a sweep across `threads` workers via
-/// [`goc_analysis::sweep::parallel_map`]; reports come back in input
-/// order regardless of completion order.
+/// [`goc_analysis::parallel_map`]; reports come back in input order
+/// regardless of completion order.
 ///
 /// # Errors
 ///
@@ -233,17 +225,9 @@ impl SweepSpec {
 pub fn sweep(spec: &SweepSpec, threads: usize) -> Result<Vec<RunReport>, String> {
     spec.validate()?;
     Ok(parallel_map(&spec.runs, threads, |run| {
-        let ctx = RunContext {
-            seed: run.seed.unwrap_or(0),
-            // Experiments' internal sweeps stay single-threaded: the
-            // sweep itself is the parallelism.
-            threads: 1,
-            quick: run.quick.unwrap_or(false),
-            scheduler: run.scheduler,
-            turnover_pct: run.turnover_pct,
-            replicas: run.replicas,
-            observe: Observe::off(),
-        };
+        // Experiments' internal sweeps stay single-threaded: the sweep
+        // itself is the parallelism.
+        let ctx = RunContext::of(run, 1, &Observe::off());
         find(&run.experiment).expect("validated above").run(&ctx)
     }))
 }
@@ -270,16 +254,6 @@ pub fn write_results(name: &str, contents: &str) {
         Ok(()) => println!("[written {}]", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
-}
-
-/// Prints a boxed experiment header (kept for downstream users; the
-/// registry path renders banners through [`RunReport::render_ascii`]).
-pub fn banner(id: &str, title: &str) {
-    let line = format!("{id} — {title}");
-    println!("{}", "=".repeat(line.len() + 4));
-    println!("| {line} |");
-    println!("{}", "=".repeat(line.len() + 4));
-    println!();
 }
 
 #[cfg(test)]
@@ -311,14 +285,7 @@ mod tests {
     #[test]
     fn sweep_validates_experiment_names() {
         let spec = SweepSpec {
-            runs: vec![SweepRun {
-                experiment: "nonsense".into(),
-                seed: None,
-                quick: None,
-                scheduler: None,
-                turnover_pct: None,
-                replicas: None,
-            }],
+            runs: vec![ExperimentRequest::quick("nonsense")],
         };
         assert!(spec.validate().is_err());
         assert!(sweep(&spec, 2).is_err());

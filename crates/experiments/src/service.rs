@@ -1,15 +1,16 @@
 //! [`RegistryBackend`]: the production [`goc_server::Backend`] lowering
-//! wire requests onto the experiment registry.
+//! wire experiment runs onto the experiment registry.
 //!
 //! `goc-server` cannot depend on this crate (the `serve` experiment
 //! lives here, which would close a dependency cycle), so experiment
-//! execution is injected: the server handles `RunEnsemble` itself and
-//! delegates `RunExperiment`/`Sweep` to a [`goc_server::Backend`]. This
-//! module provides the registry-aware implementation the `goc serve`
-//! verb and the `serve` experiment boot with, plus [`registry_server`],
-//! the one-call constructor both use.
+//! execution is injected: the server handles `RunEnsemble` itself,
+//! chunks a `Sweep` across its workers itself, and asks a
+//! [`goc_server::Backend`] only whether an experiment exists and to run
+//! one. This module provides the registry-aware implementation the
+//! `goc serve` verb and the `serve` experiment boot with, plus
+//! [`registry_server`], the one-call constructor both use.
 
-use goc_analysis::{try_parallel_map, RunReport};
+use goc_analysis::RunReport;
 use goc_proto::ExperimentRequest;
 use goc_server::{Backend, Server, ServerConfig, ServerError};
 use goc_telemetry::Observe;
@@ -17,26 +18,10 @@ use goc_telemetry::Observe;
 use crate::{find, RunContext};
 
 /// A [`Backend`] over [`crate::registry`]: every registered experiment
-/// is servable, and sweeps fan across the shared work-stealing
-/// executor exactly like `goc sweep` does locally.
+/// is servable, each run in the [`RunContext::of`] its request
+/// describes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RegistryBackend;
-
-/// Builds the [`RunContext`] a wire request describes, observed on the
-/// server's handle. Sweep runs pin `threads` to 1 (the sweep itself is
-/// the parallelism — the same convention as [`crate::sweep`]); single
-/// runs get the server's pool.
-fn context_of(request: &ExperimentRequest, threads: usize, observe: &Observe) -> RunContext {
-    RunContext {
-        seed: request.seed.unwrap_or(0),
-        threads,
-        quick: request.quick.unwrap_or(false),
-        scheduler: request.scheduler,
-        turnover_pct: request.turnover_pct,
-        replicas: request.replicas,
-        observe: observe.clone(),
-    }
-}
 
 impl Backend for RegistryBackend {
     fn has_experiment(&self, name: &str) -> bool {
@@ -51,40 +36,7 @@ impl Backend for RegistryBackend {
     ) -> Result<RunReport, String> {
         let experiment = find(&request.experiment)
             .ok_or_else(|| format!("unknown experiment `{}`", request.experiment))?;
-        Ok(experiment.run(&context_of(request, threads.max(1), observe)))
-    }
-
-    fn sweep(
-        &self,
-        runs: &[ExperimentRequest],
-        threads: usize,
-        observe: &Observe,
-        progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<Vec<RunReport>, String> {
-        // Validate every name up front so a miss never reaches the
-        // executor as a panic (the server's admission control already
-        // rejects unknown names; this keeps the backend safe alone).
-        for run in runs {
-            if find(&run.experiment).is_none() {
-                return Err(format!("unknown experiment `{}`", run.experiment));
-            }
-        }
-        let threads = threads.max(1);
-        let total = runs.len();
-        let mut reports = Vec::with_capacity(total);
-        // Chunked so the session can stream a `Progress` frame per
-        // completed batch instead of going silent for the whole sweep.
-        for chunk in runs.chunks(threads) {
-            let batch = try_parallel_map(chunk, threads, |run| {
-                find(&run.experiment)
-                    .expect("validated above")
-                    .run(&context_of(run, 1, observe))
-            })
-            .map_err(|e| e.to_string())?;
-            reports.extend(batch);
-            progress(reports.len(), total);
-        }
-        Ok(reports)
+        Ok(experiment.run(&RunContext::of(request, threads.max(1), observe)))
     }
 }
 
@@ -102,6 +54,7 @@ pub fn registry_server(config: ServerConfig, observe: Observe) -> Result<Server,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goc_proto::{Client, RejectReason, ReportPayload, Request};
 
     #[test]
     fn backend_sees_the_whole_registry() {
@@ -128,28 +81,39 @@ mod tests {
 
     #[test]
     fn backend_sweeps_report_chunked_progress_in_input_order() {
-        let backend = RegistryBackend;
+        // The server chunks a wire sweep by its worker count and runs
+        // every entry through the registry backend: 3 runs on 2 workers
+        // is two chunks, so two `Progress` frames.
+        let config = ServerConfig {
+            threads: 2,
+            ..ServerConfig::default()
+        };
+        let server = registry_server(config, Observe::off()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+        let mut client = Client::connect(addr).unwrap();
         let runs = vec![
             ExperimentRequest::quick("prop1"),
             ExperimentRequest::quick("appendix_b"),
             ExperimentRequest::quick("prop2"),
         ];
-        let mut ticks: Vec<(usize, usize)> = Vec::new();
-        let reports = backend
-            .sweep(&runs, 2, &Observe::off(), &mut |done, total| {
-                ticks.push((done, total))
-            })
-            .unwrap();
+        let reply = client.request(Request::Sweep { runs }).unwrap();
+        let Some(ReportPayload::Sweep(reports)) = reply.report() else {
+            panic!("expected a sweep report, got {:?}", reply.terminal());
+        };
         let names: Vec<&str> = reports.iter().map(|r| r.experiment.as_str()).collect();
         assert_eq!(names, vec!["prop1", "appendix_b", "prop2"]);
-        assert_eq!(ticks.last(), Some(&(3, 3)));
-        assert!(ticks.iter().all(|&(done, total)| done <= total));
-        let bad = backend.sweep(
-            &[ExperimentRequest::quick("nope")],
-            2,
-            &Observe::off(),
-            &mut |_, _| {},
-        );
-        assert!(bad.unwrap_err().contains("nope"));
+        assert_eq!(reply.progress_frames(), 2);
+        let bad = client
+            .request(Request::Sweep {
+                runs: vec![ExperimentRequest::quick("nope")],
+            })
+            .unwrap();
+        let (reason, detail) = bad.rejection().expect("an unknown run is refused");
+        assert_eq!(reason, RejectReason::UnknownExperiment);
+        assert!(detail.contains("nope"));
+        let ack = client.request(Request::Shutdown).unwrap();
+        assert_eq!(ack.report(), Some(&ReportPayload::ShutdownAck));
+        assert_eq!(handle.join().unwrap().served, 1);
     }
 }

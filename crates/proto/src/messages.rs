@@ -28,9 +28,10 @@ pub const PROTOCOL_VERSION: u32 = 2;
 /// rejection.
 pub const MIN_PROTOCOL_VERSION: u32 = 1;
 
-/// One experiment run request — the wire twin of the sweep-spec entry
-/// (`goc-experiments::SweepRun`): a registry name plus the context
-/// knobs a remote caller may set.
+/// One experiment run: a registry name plus the context knobs a caller
+/// may set. It is the wire's `RunExperiment` payload and `Sweep` entry,
+/// and also the entry of a `goc sweep --spec` file
+/// (`goc-experiments::SweepSpec`), so both parse the same JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentRequest {
     /// Registry name (`goc list`).

@@ -1,17 +1,18 @@
-//! [`Backend`]: the compute substrate behind the session loop.
+//! [`Backend`]: the experiment registry behind the session loop.
 //!
 //! The server crate deliberately does not depend on the experiment
 //! registry (`goc-experiments` hosts the `serve` experiment, which
 //! would make the dependency circular). Instead, experiment execution
-//! is injected through this trait; `goc-experiments` provides the
-//! production `RegistryBackend` lowering runs onto
-//! `sweep::try_parallel_map`, and [`EnsembleOnlyBackend`] serves
-//! deployments (and tests) that only need ensemble/status traffic.
-//! `RunEnsemble` requests never reach the backend — the server lowers
-//! them onto [`goc_analysis::ensemble::run_observed`] directly, which
-//! already rides the shared work-stealing executor. Both backend calls
-//! receive the server's [`Observe`] handle, so the experiments they run
-//! record where the server does.
+//! is injected through this trait's two calls: an admission lookup and
+//! one experiment run. `goc-experiments` provides the production
+//! `RegistryBackend`, and [`EnsembleOnlyBackend`] serves deployments
+//! (and tests) that only need ensemble/status traffic. The server owns
+//! the fan-out: `RunEnsemble` goes to
+//! [`goc_analysis::ensemble::run_observed`] directly, and a `Sweep` is
+//! chunked across the server's workers with [`goc_analysis::parallel_map`],
+//! one [`Backend::run_experiment`] per entry and one `Progress` frame per
+//! chunk. Every backend run receives the server's [`Observe`] handle, so
+//! the experiments it runs record where the server does.
 
 use goc_analysis::RunReport;
 use goc_proto::ExperimentRequest;
@@ -41,20 +42,6 @@ pub trait Backend: Send + Sync + 'static {
         threads: usize,
         observe: &Observe,
     ) -> Result<RunReport, String>;
-
-    /// Runs a validated sweep, reporting `(done, total)` after each
-    /// completed chunk so the session can stream `Progress` frames.
-    ///
-    /// # Errors
-    ///
-    /// As [`Backend::run_experiment`], for the first failing run.
-    fn sweep(
-        &self,
-        runs: &[ExperimentRequest],
-        threads: usize,
-        observe: &Observe,
-        progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<Vec<RunReport>, String>;
 }
 
 /// A [`Backend`] with no experiment registry: every experiment lookup
@@ -79,15 +66,5 @@ impl Backend for EnsembleOnlyBackend {
             "no experiment registry in this server (requested `{}`)",
             request.experiment
         ))
-    }
-
-    fn sweep(
-        &self,
-        _runs: &[ExperimentRequest],
-        _threads: usize,
-        _observe: &Observe,
-        _progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<Vec<RunReport>, String> {
-        Err("no experiment registry in this server".to_string())
     }
 }

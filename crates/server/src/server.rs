@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use goc_analysis::ensemble;
 use goc_analysis::ensemble::executor::panic_message;
 use goc_analysis::ensemble::Universes;
+use goc_analysis::parallel_map;
 use goc_proto::{
     Connection, ProtoError, RejectReason, ReportPayload, Request, Response, ResponseEnvelope,
     ServerStatus, PROTOCOL_VERSION,
@@ -24,6 +25,14 @@ use crate::config::{ConfigError, ServerConfig};
 
 /// How often a parked session re-checks the draining flag.
 const SESSION_POLL: Duration = Duration::from_millis(100);
+
+/// How long one write to a session socket may make no progress before
+/// the session treats its client as gone. A client that pipelines
+/// requests and never reads fills both socket buffers; without this
+/// bound its session would block in the write forever, holding its
+/// session slot (and its in-flight slot mid-compute) and wedging the
+/// drain's join.
+const SESSION_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Errors of server construction and operation.
 #[derive(Debug)]
@@ -382,8 +391,10 @@ fn session(state: Arc<State>, stream: TcpStream) {
     let _slot = SessionGuard(Arc::clone(&state));
     // The poll timeout is what lets an idle session notice a drain;
     // without it the join in `run` would wait on clients that never
-    // speak again.
+    // speak again. The write timeout does the same for clients that
+    // never read.
     stream.set_read_timeout(Some(SESSION_POLL)).ok();
+    stream.set_write_timeout(Some(SESSION_WRITE_TIMEOUT)).ok();
     stream.set_nodelay(true).ok();
     let mut conn = Connection::with_max_frame(stream, state.config.max_frame_bytes);
     // One trace lane per session thread (the recorder's single-writer
@@ -672,9 +683,12 @@ fn admission_fault(state: &State, request: &Request) -> Option<(RejectReason, St
 /// Lowers an admitted request onto the compute substrate: ensembles go
 /// straight to [`goc_analysis::ensemble::run_observed`] (the
 /// work-stealing executor) with the server's one [`Universes`] slot,
-/// experiments and sweeps through the injected [`Backend`]; all of them
-/// record on the server's [`Observe`] handle. A panic here unwinds to
-/// the session loop, which answers it with an `Error` frame.
+/// experiments through the injected [`Backend`], and sweeps through
+/// [`parallel_map`] over the backend, one chunk of `threads` runs at a
+/// time with a `Progress` frame after each; all of them record on the
+/// server's [`Observe`] handle. A panic here — a sweep entry's included
+/// — unwinds to the session loop, which answers it with an `Error`
+/// frame.
 fn execute(
     state: &State,
     conn: &mut Connection<TcpStream>,
@@ -694,16 +708,29 @@ fn execute(
                 .map_err(|e| e.to_string())
         }
         Request::Sweep { runs } => {
-            let mut progress = |done: usize, total: usize| {
-                // A client gone mid-sweep surfaces at the terminal
-                // send; the compute itself always runs to completion
-                // so the executor is never left wedged.
-                let _ = reply(conn, id, Response::Progress { done, total });
-            };
-            state
-                .backend
-                .sweep(runs, threads, observe, &mut progress)
-                .map(ReportPayload::Sweep)
+            let total = runs.len();
+            let mut reports = Vec::with_capacity(total);
+            for chunk in runs.chunks(threads) {
+                // Each run gets one worker: the sweep is the parallelism.
+                let batch = parallel_map(chunk, threads, |run| {
+                    state.backend.run_experiment(run, 1, observe)
+                });
+                for report in batch {
+                    reports.push(report?);
+                }
+                // A client gone mid-sweep surfaces at the terminal send;
+                // the compute itself always runs to completion so the
+                // executor is never left wedged.
+                let _ = reply(
+                    conn,
+                    id,
+                    Response::Progress {
+                        done: reports.len(),
+                        total,
+                    },
+                );
+            }
+            Ok(ReportPayload::Sweep(reports))
         }
         Request::Status | Request::Metrics | Request::Shutdown => {
             unreachable!("handled by the session loop")

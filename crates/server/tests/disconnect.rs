@@ -2,10 +2,13 @@
 //! first frame, mid-frame, or after `Accepted` with a compute request
 //! already running — must cost the server nothing but its own session.
 //! The session slot and the in-flight slot are both released, the
-//! executor is not wedged, and the next client is served normally.
+//! executor is not wedged, and the next client is served normally. A
+//! client that stays connected but never reads its replies cannot wedge
+//! the drain either.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -18,6 +21,10 @@ use goc_server::{EnsembleOnlyBackend, Server, ServerConfig, ServerSummary};
 /// How long a test waits for the server to recover from a hangup
 /// before declaring the executor wedged.
 const PATIENCE: Duration = Duration::from_secs(30);
+
+/// How long a drain may take to join a session whose client stopped
+/// reading: the session's write timeout plus generous slack.
+const DRAIN_BOUND: Duration = Duration::from_secs(15);
 
 fn boot(config: ServerConfig) -> (SocketAddr, JoinHandle<ServerSummary>) {
     let server = Server::bind(config, Box::new(EnsembleOnlyBackend)).unwrap();
@@ -164,4 +171,42 @@ fn disconnect_without_reading_any_response_is_survivable() {
         (1..=2).contains(&summary.served),
         "expected 1 or 2 served, got {summary:?}"
     );
+}
+
+#[test]
+fn a_client_that_never_reads_cannot_wedge_the_drain() {
+    let server = Server::bind(ServerConfig::default(), Box::new(EnsembleOnlyBackend)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let registry = server.observe().registry;
+    // `run` on its own thread, so a wedged drain fails this test by
+    // timeout instead of hanging it.
+    let (finished, summary) = mpsc::channel();
+    std::thread::spawn(move || finished.send(server.run().unwrap()));
+
+    // Pipeline `Metrics` requests and never read a reply. Once both
+    // socket buffers hold unread replies, the session blocks writing and
+    // stops reading, and this client's own writes stall in turn.
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut stalled = Connection::new(stream);
+    let deadline = Instant::now() + PATIENCE;
+    let mut id = 0;
+    while stalled
+        .send_request(&RequestEnvelope::new(id, Request::Metrics))
+        .is_ok()
+    {
+        id += 1;
+        assert!(Instant::now() < deadline, "the session never stalled");
+    }
+
+    // The stalled client stays connected while a second one drains.
+    shutdown(addr);
+    let summary = summary
+        .recv_timeout(DRAIN_BOUND)
+        .expect("the drain joined the stalled session within the bound");
+    assert_eq!(summary.served, 0, "{summary:?}");
+    assert_eq!(registry.snapshot().gauge("goc_server_inflight"), Some(0));
+    drop(stalled);
 }

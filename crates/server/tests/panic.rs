@@ -1,6 +1,6 @@
-//! Panic containment: a backend that panics mid-request, or while the
-//! request is still in admission, must cost the client one `Error`
-//! frame, not its session. The panic is counted on
+//! Panic containment: a backend that panics mid-request (a sweep entry
+//! included), or while the request is still in admission, must cost the
+//! client one `Error` frame, not its session. The panic is counted on
 //! `goc_server_panics_total`, the in-flight slot comes back, and the
 //! served/rejected ledger stays exact through the drain.
 
@@ -28,16 +28,6 @@ impl Backend for PanicBackend {
         _observe: &Observe,
     ) -> Result<RunReport, String> {
         panic!("boom went the experiment")
-    }
-
-    fn sweep(
-        &self,
-        _runs: &[ExperimentRequest],
-        _threads: usize,
-        _observe: &Observe,
-        _progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<Vec<RunReport>, String> {
-        panic!("boom went the sweep")
     }
 }
 
@@ -105,6 +95,58 @@ fn a_panicking_backend_answers_error_and_keeps_the_session() {
     assert_eq!(snap.gauge("goc_server_inflight"), Some(0));
 }
 
+#[test]
+fn a_sweep_whose_run_panics_answers_error_and_keeps_the_session() {
+    // Two workers, so the panic surfaces from the parallel fan-out; one
+    // in-flight slot, so a leaked slot would refuse the follow-up.
+    let config = ServerConfig {
+        max_inflight: 1,
+        threads: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(config, Box::new(PanicBackend)).unwrap();
+    let addr = server.local_addr().unwrap();
+    let registry = server.observe().registry;
+    let handle = std::thread::spawn(move || server.run().unwrap());
+
+    let mut client = Client::connect(addr).unwrap();
+    let reply = client
+        .request(Request::Sweep {
+            runs: vec![ExperimentRequest::quick("boom"); 2],
+        })
+        .expect("the session answers instead of hanging up");
+    assert!(reply.accepted());
+    match reply.terminal() {
+        Response::Error { detail } => {
+            assert!(detail.contains("boom went the experiment"), "{detail}")
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+    assert_eq!(registry.snapshot().gauge("goc_server_inflight"), Some(0));
+
+    // Same session, next request: served normally.
+    let next = client
+        .request(Request::RunEnsemble {
+            spec: EnsembleSpec::new(16, 2, 3),
+        })
+        .unwrap();
+    assert!(
+        matches!(next.report(), Some(ReportPayload::Ensemble(_))),
+        "{:?}",
+        next.terminal()
+    );
+    drop(client);
+
+    shutdown(addr);
+    let summary = handle.join().unwrap();
+    assert_eq!(summary.served, 1, "the panicked sweep is not served");
+    assert_eq!(summary.rejected, 0);
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("goc_server_panics_total"), Some(1));
+    assert_eq!(snap.counter("goc_server_served_total"), Some(1));
+    assert_eq!(snap.gauge("goc_server_inflight"), Some(0));
+}
+
 /// Panics in admission: the experiment lookup itself blows up.
 struct PanicAdmissionBackend;
 
@@ -119,16 +161,6 @@ impl Backend for PanicAdmissionBackend {
         _threads: usize,
         _observe: &Observe,
     ) -> Result<RunReport, String> {
-        unreachable!("admission never lets a request through")
-    }
-
-    fn sweep(
-        &self,
-        _runs: &[ExperimentRequest],
-        _threads: usize,
-        _observe: &Observe,
-        _progress: &mut dyn FnMut(usize, usize),
-    ) -> Result<Vec<RunReport>, String> {
         unreachable!("admission never lets a request through")
     }
 }

@@ -113,15 +113,6 @@ impl MinerAgent {
             Decision::Stay
         }
     }
-
-    /// Backwards-compatible view of [`MinerAgent::decide`] for free-power
-    /// agents: `Some(coin)` iff the decision is a switch.
-    pub fn decide_switch(&self, revenue_per_hash: &[f64]) -> Option<usize> {
-        match self.decide(revenue_per_hash) {
-            Decision::Switch(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +131,6 @@ mod tests {
     #[test]
     fn moves_to_clearly_better_coin() {
         assert_eq!(agent(0, 0.05).decide(&[1.0, 2.0]), Decision::Switch(1));
-        assert_eq!(agent(0, 0.05).decide_switch(&[1.0, 2.0]), Some(1));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the experiment registry, and structured run reports.
 
 use gameofcoins::analysis::{ReportItem, RunReport};
-use gameofcoins::experiments::{self, RunContext, SweepRun, SweepSpec};
+use gameofcoins::experiments::{self, RunContext, SweepSpec};
+use gameofcoins::proto::ExperimentRequest;
 use gameofcoins::sim::{
     Assignment, ChainFlavor, ChainSpec, CohortSpec, MinerAgent, MinerSpec, OracleKind, PriceSpec,
     ScenarioSpec,
@@ -103,29 +104,17 @@ fn reports_round_trip_and_carry_content() {
 fn sweep_preserves_input_order_and_seeds() {
     let spec = SweepSpec {
         runs: vec![
-            SweepRun {
-                experiment: "prop1".into(),
+            ExperimentRequest {
                 seed: Some(0),
-                quick: Some(true),
-                scheduler: None,
-                turnover_pct: None,
-                replicas: None,
+                ..ExperimentRequest::quick("prop1")
             },
-            SweepRun {
-                experiment: "cross".into(),
+            ExperimentRequest {
                 seed: Some(1),
-                quick: Some(true),
-                scheduler: None,
-                turnover_pct: None,
-                replicas: None,
+                ..ExperimentRequest::quick("cross")
             },
-            SweepRun {
-                experiment: "prop1".into(),
+            ExperimentRequest {
                 seed: Some(2),
-                quick: Some(true),
-                scheduler: None,
-                turnover_pct: None,
-                replicas: None,
+                ..ExperimentRequest::quick("prop1")
             },
         ],
     };
