@@ -314,6 +314,19 @@ mod tests {
     }
 
     #[test]
+    fn panics_carry_the_failing_index() {
+        let items: Vec<u32> = (0..20).collect();
+        let err = run_indexed(items.len(), 4, |i| {
+            let x = items[i];
+            assert!(x != 13, "unlucky");
+            x
+        })
+        .unwrap_err();
+        assert_eq!(err.index, 13);
+        assert!(err.message.contains("unlucky"));
+    }
+
+    #[test]
     #[should_panic(expected = "worker panicked on item 2")]
     fn parallel_map_reraises_with_index() {
         parallel_map(&[0u32, 1, 2], 1, |&x| {
