@@ -364,10 +364,10 @@ fn churn_scenario(spec: &EnsembleSpec, churn: &ChurnSpec, seed: u64) -> Scenario
 }
 
 /// Runs one replica. `shared` short-circuits per-replica setup with the
-/// ensemble's shared universe [`Snapshot`] — churn-free replicas fork the
-/// shared universe at their own random start
-/// ([`Snapshot::fork_at`]), churny scheduler-free replicas fork the
-/// time-zero tracker exactly and replay only their own timeline. The
+/// ensemble's shared universe [`Snapshot`] — churn-free scheduler-free
+/// replicas fork the shared universe at their own random start
+/// ([`Snapshot::fork_at`]), churny replicas (under any scheduler) fork
+/// the time-zero tracker exactly and replay only their own timeline. The
 /// result is identical either way: a fork reproduces precisely the
 /// state a from-scratch rebuild constructs (the determinism proptests
 /// replay `None` against `Some` to pin this). `observed` carries the
@@ -413,8 +413,8 @@ fn replica_with(
         }
         Some(churn) => {
             let scenario = churn_scenario(spec, churn, seed);
-            match (spec.scheduler, shared) {
-                (None, Some(snapshot)) => {
+            match shared {
+                Some(snapshot) => {
                     // The universe is seed-invariant; only the timeline
                     // varies per replica. Re-lower it and replay against
                     // an exact fork of the shared time-zero tracker.
@@ -428,7 +428,7 @@ fn replica_with(
                     tracker = Some(snapshot.fork());
                     snapshot.game()
                 }
-                _ => {
+                None => {
                     built_universe = churn_universe(&scenario, CHURN_RESOLUTION)
                         .map_err(|e| fail(e.to_string()))?;
                     plan = Some(ChurnPlan::with_events(
@@ -495,8 +495,9 @@ pub fn replica(spec: &EnsembleSpec, index: usize) -> Result<ReplicaRecord, Ensem
 
 /// What a shared universe is built from, and nothing else: the
 /// population for churn-free specs; population, horizon and churn plan
-/// for scheduler-free churny ones (the universe is seed-invariant and
-/// never sees `spec.name` — the determinism suite pins both).
+/// for churny ones. The scheduler is not part of it (it only picks
+/// moves on the forked tracker), and the universe is seed-invariant and
+/// never sees `spec.name` — the determinism suite pins both.
 #[derive(Debug, PartialEq)]
 enum UniverseKey {
     Classes(usize),
@@ -504,27 +505,20 @@ enum UniverseKey {
 }
 
 impl UniverseKey {
-    /// `None` for scheduled churny ensembles, whose replicas need their
-    /// own full universe (the scheduler consumes the per-replica
-    /// scenario), so they never share one.
-    fn of(spec: &EnsembleSpec) -> Option<UniverseKey> {
+    fn of(spec: &EnsembleSpec) -> UniverseKey {
         match &spec.churn {
-            None => Some(UniverseKey::Classes(spec.miners)),
-            Some(_) if spec.scheduler.is_some() => None,
-            Some(churn) => Some(UniverseKey::Churn(
-                spec.miners,
-                spec.horizon_days,
-                churn.clone(),
-            )),
+            None => UniverseKey::Classes(spec.miners),
+            Some(churn) => UniverseKey::Churn(spec.miners, spec.horizon_days, churn.clone()),
         }
     }
 }
 
 /// The last shared universe an ensemble built: one slot, keyed by
 /// exactly what the universe is a pure function of (population, and
-/// horizon plus churn plan for churny specs). A universe is immutable
-/// once built, so handing a later ensemble the same image cannot change
-/// its report — it only skips the serial build every replica waits on.
+/// horizon plus churn plan for churny specs, whatever their scheduler).
+/// A universe is immutable once built, so handing a later ensemble the
+/// same image cannot change its report — it only skips the serial build
+/// every replica waits on.
 ///
 /// One slot is the whole memory bound: at most one universe beyond
 /// those held by ensembles in flight. A long-lived caller (the server)
@@ -555,22 +549,17 @@ impl Universes {
 /// outside the lock and stored. A build runs under a `universe_build`
 /// span on a coordinator lane and ticks
 /// `goc_ensemble_universe_builds_total`.
-///
-/// `None` for scheduled churny ensembles, which neither read nor write
-/// the slot.
 fn shared_snapshot(
     spec: &EnsembleSpec,
     universes: &Universes,
     observe: &Observe,
-) -> Result<Option<Arc<Snapshot>>, String> {
+) -> Result<Arc<Snapshot>, String> {
     let builds = observe
         .registry
         .counter("goc_ensemble_universe_builds_total");
-    let Some(key) = UniverseKey::of(spec) else {
-        return Ok(None);
-    };
+    let key = UniverseKey::of(spec);
     if let Some((_, snapshot)) = universes.slot().as_ref().filter(|(last, _)| *last == key) {
-        return Ok(Some(Arc::clone(snapshot)));
+        return Ok(Arc::clone(snapshot));
     }
     let snapshot = {
         let coordinator = observe.tracer.lane();
@@ -579,11 +568,11 @@ fn shared_snapshot(
     };
     builds.inc();
     *universes.slot() = Some((key, Arc::clone(&snapshot)));
-    Ok(Some(snapshot))
+    Ok(snapshot)
 }
 
-/// Builds the universe tracker a churn-free or scheduler-free churny
-/// spec shares, captured with [`Snapshot::of`].
+/// Builds the universe tracker a spec's replicas share, captured with
+/// [`Snapshot::of`].
 fn build_universe(spec: &EnsembleSpec) -> Result<Snapshot, String> {
     match &spec.churn {
         None => {
@@ -693,7 +682,7 @@ pub fn run_observed(
         // recycles them, so live lanes stay bounded by concurrency.
         let lane = observe.tracer.lane();
         lane.instant(TraceEventKind::ReplicaStart, index as u64);
-        let result = replica_with(spec, shared.as_deref(), index, Some((&lane, &observer)));
+        let result = replica_with(spec, Some(&shared), index, Some((&lane, &observer)));
         lane.instant(TraceEventKind::ReplicaFinish, index as u64);
         finished.inc();
         result

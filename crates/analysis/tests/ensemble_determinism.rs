@@ -170,7 +170,7 @@ fn churn_scenario(spec: &EnsembleSpec, seed: u64) -> ScenarioSpec {
     scenario
 }
 
-/// The universe a churn-free or scheduler-free churny `spec` shares,
+/// The universe `spec`'s replicas share,
 /// built through the public calls the ensemble makes (class game or
 /// churn universe → `MassTracker` → `Snapshot::of`); churny universes
 /// are lowered from the scenario at `seed`.
@@ -305,15 +305,13 @@ proptest! {
             let cached = run_observed(spec, 2, &observe, &universes).expect("ensemble runs");
             let fresh = run(spec, 1).expect("ensemble runs");
             prop_assert_eq!(cached.deterministic_json(), fresh.deterministic_json());
-            // Scheduled churny specs never touch the slot; every other
-            // spec builds exactly when its key differs from the last.
-            if spec.churn.is_none() || spec.scheduler.is_none() {
-                let churn = spec.churn.clone().map(|c| (spec.horizon_days.to_bits(), c));
-                let key = Some((spec.miners, churn));
-                if key != last {
-                    builds += 1;
-                    last = key;
-                }
+            // Every spec, scheduled or not, builds exactly when its key
+            // differs from the last.
+            let churn = spec.churn.clone().map(|c| (spec.horizon_days.to_bits(), c));
+            let key = Some((spec.miners, churn));
+            if key != last {
+                builds += 1;
+                last = key;
             }
         }
         prop_assert_eq!(

@@ -58,6 +58,7 @@ pub mod error;
 pub mod game;
 pub mod gen;
 pub mod ids;
+mod key;
 pub mod paper;
 pub mod paths;
 pub mod potential;

@@ -22,6 +22,13 @@
 //!   only be displaced by it (or invalidated when the joined coin *was*
 //!   the cached best).
 //!
+//! Every payoff comparison here — the touch-up, the re-probe, the
+//! min-gain target and the gain ordering — is made on unreduced RPU and
+//! gain keys: two `u128` cross products instead of a reduced [`Ratio`],
+//! whose construction runs up to three gcds, with an exact `Ratio`
+//! fallback should a product overflow. The decisions are the ones the
+//! reduced comparisons would make, value for value.
+//!
 //! On top of the cache the source exposes the scheduler protocol —
 //! [`MoveSource::improving_move_for`], [`MoveSource::extremal_gain_move`],
 //! [`MoveSource::extremal_power_move`], [`MoveSource::sample_improving`],
@@ -64,6 +71,7 @@ use crate::delta::{AppliedDelta, Delta};
 use crate::error::GameError;
 use crate::game::{Game, Move};
 use crate::ids::{CoinId, MinerId};
+use crate::key::{GainKey, RpuKey};
 use crate::ratio::{Extended, Ratio};
 use crate::tracker::MassTracker;
 
@@ -221,8 +229,34 @@ impl<'g> MoveSource<'g> {
         let dec = self
             .tracker
             .min_member(gid)
-            .and_then(|rep| self.tracker.best_response(rep));
+            .and_then(|rep| self.extremal_target(rep, Extremum::Max));
         self.set_decision(gid, dec);
+    }
+
+    /// The improving target of active miner `p` with the extremal
+    /// post-move RPU (lowest coin id on ties), or `None` if `p` is
+    /// stable: at [`Extremum::Max`] exactly [`MassTracker::best_response`],
+    /// at [`Extremum::Min`] the min-gain target. `O(coins)` key
+    /// comparisons, no gcd.
+    fn extremal_target(&self, p: MinerId, extremum: Extremum) -> Option<CoinId> {
+        let game = self.tracker.game();
+        let from = self.tracker.coin_of(p);
+        let current = self.tracker.rpu_key(p, from, from);
+        let mut best: Option<(RpuKey, CoinId)> = None;
+        for c in game.system().coin_ids() {
+            if c == from || !self.tracker.is_coin_active(c) || !game.allowed(p, c) {
+                continue;
+            }
+            let v = self.tracker.rpu_key(p, c, from);
+            let wins = best.is_none_or(|(b, _)| match extremum {
+                Extremum::Max => v > b,
+                Extremum::Min => v < b,
+            });
+            if v > current && wins {
+                best = Some((v, c));
+            }
+        }
+        best.map(|(_, c)| c)
     }
 
     /// Drains the dirty-group queue so every cached decision is current.
@@ -315,7 +349,7 @@ impl<'g> MoveSource<'g> {
     /// `O(groups × coins)` after revalidation.
     pub fn extremal_gain_move(&mut self, extremum: Extremum) -> Option<Move> {
         self.revalidate();
-        let mut best: Option<(Ratio, MinerId, CoinId, CoinId)> = None;
+        let mut best: Option<(GainKey, MinerId, CoinId, CoinId)> = None;
         for gid in 0..self.cache.len() as u32 {
             let Cached::Decision(Some(br)) = self.cache[gid as usize] else {
                 continue;
@@ -331,9 +365,11 @@ impl<'g> MoveSource<'g> {
                 // same lowest-coin tie-break).
                 Extremum::Max => br,
                 // The min-gain target needs its own O(coins) scan.
-                Extremum::Min => self.min_gain_target(rep, from),
+                Extremum::Min => self
+                    .extremal_target(rep, Extremum::Min)
+                    .expect("unstable groups have an improving target"),
             };
-            let gain = self.tracker.gain(rep, to);
+            let gain = self.tracker.gain_key(rep, to);
             let wins = match &best {
                 None => true,
                 Some((g, p, _, _)) => {
@@ -349,24 +385,6 @@ impl<'g> MoveSource<'g> {
             }
         }
         best.map(|(_, miner, from, to)| Move { miner, from, to })
-    }
-
-    /// The smallest-RPU improving target of `p` (lowest coin id on ties).
-    fn min_gain_target(&self, p: MinerId, from: CoinId) -> CoinId {
-        let game = self.tracker.game();
-        let masses = self.tracker.masses();
-        let current = game.rpu_after_join(p, from, from, masses);
-        let mut best: Option<(Ratio, CoinId)> = None;
-        for c in game.system().coin_ids() {
-            if c == from || !self.tracker.is_coin_active(c) || !game.allowed(p, c) {
-                continue;
-            }
-            let v = game.rpu_after_join(p, c, from, masses);
-            if v > current && best.is_none_or(|(b, _)| v < b) {
-                best = Some((v, c));
-            }
-        }
-        best.expect("caller established the group is unstable").1
     }
 
     /// The best response of the extremal-power unstable miner — ties to
@@ -411,44 +429,47 @@ impl<'g> MoveSource<'g> {
     /// canonical `(coin, power, restriction)` key order so an eager
     /// implementation can reproduce the draw from the flat move list.
     /// Returns `None` — consuming no randomness — when stable.
-    /// `O(groups × coins)` after revalidation.
+    /// `O(groups × coins)` after revalidation: one pass totals the
+    /// weights, a second locates the draw, and nothing is allocated.
     pub fn sample_improving<R: Rng>(&mut self, rng: &mut R) -> Option<Move> {
         self.revalidate();
-        let mut scratch: Vec<(MinerId, CoinId, usize, Vec<CoinId>)> = Vec::new();
-        let mut total = 0usize;
-        let classes: Vec<(u32, u32)> = self
-            .tracker
-            .classes()
-            .map(|((coin, _, _), gid)| (coin, gid))
-            .collect();
-        for (coin, gid) in classes {
-            if !matches!(self.cache[gid as usize], Cached::Decision(Some(_))) {
-                continue;
-            }
-            let rep = self
-                .tracker
-                .min_member(gid)
-                .expect("unstable groups are nonempty");
-            let count = self.tracker.member_count(gid);
-            let targets = self.tracker.better_responses(rep);
-            total += count * targets.len();
-            scratch.push((rep, CoinId(coin as usize), count * targets.len(), targets));
-        }
+        let total: usize = self
+            .unstable_classes()
+            .map(|(_, rep, count)| count * self.tracker.improving_targets(rep).count())
+            .sum();
         if total == 0 {
             return None;
         }
         let mut r = rng.gen_range(0..total);
-        for (miner, from, weight, targets) in scratch {
+        for (from, miner, count) in self.unstable_classes() {
+            let targets = self.tracker.improving_targets(miner).count();
+            let weight = count * targets;
             if r < weight {
-                return Some(Move {
-                    miner,
-                    from,
-                    to: targets[r % targets.len()],
-                });
+                let to = self
+                    .tracker
+                    .improving_targets(miner)
+                    .nth(r % targets)
+                    .expect("r % targets < targets");
+                return Some(Move { miner, from, to });
             }
             r -= weight;
         }
         unreachable!("r < total by construction")
+    }
+
+    /// `(coin, representative, member count)` of every class cached as
+    /// unstable, in canonical class order.
+    fn unstable_classes(&self) -> impl Iterator<Item = (CoinId, MinerId, usize)> + '_ {
+        self.tracker
+            .classes()
+            .filter(|&(_, gid)| matches!(self.cache[gid as usize], Cached::Decision(Some(_))))
+            .map(|((coin, _, _), gid)| {
+                let rep = self
+                    .tracker
+                    .min_member(gid)
+                    .expect("unstable groups are nonempty");
+                (CoinId(coin as usize), rep, self.tracker.member_count(gid))
+            })
     }
 
     // ------------------------------------------------------------------
@@ -652,13 +673,12 @@ impl<'g> MoveSource<'g> {
             if !self.tracker.is_coin_active(vacated) || !game.allowed(rep, vacated) {
                 continue;
             }
-            let masses = self.tracker.masses();
+            let v = self.tracker.rpu_key(rep, vacated, own);
             match dec {
                 None => {
                     // Stable: only `vacated` can now beat the (unchanged)
                     // current payoff — and then it is the unique best.
-                    let current = game.rpu_after_join(rep, own, own, masses);
-                    if game.rpu_after_join(rep, vacated, own, masses) > current {
+                    if v > self.tracker.rpu_key(rep, own, own) {
                         self.set_decision(gid as u32, Some(vacated));
                     }
                 }
@@ -668,8 +688,7 @@ impl<'g> MoveSource<'g> {
                 Some(b) => {
                     // Unchanged best unless `vacated` now beats it (or
                     // ties with a smaller coin id).
-                    let v = game.rpu_after_join(rep, vacated, own, masses);
-                    let v_b = game.rpu_after_join(rep, b, own, masses);
+                    let v_b = self.tracker.rpu_key(rep, b, own);
                     if v > v_b || (v == v_b && vacated < b) {
                         self.set_decision(gid as u32, Some(vacated));
                     }

@@ -86,6 +86,7 @@ use crate::delta::{AppliedDelta, Delta};
 use crate::error::GameError;
 use crate::game::{Game, Move, Rewards};
 use crate::ids::{CoinId, MinerId};
+use crate::key::{GainKey, RpuKey};
 use crate::ratio::{Extended, Ratio};
 use crate::system::System;
 
@@ -632,12 +633,15 @@ impl<'g> MassTracker<'g> {
 
     /// Whether moving `p` to `to` is a better-response step, `O(1)`.
     /// Always false for dormant miners and retired target coins.
+    /// Decided on unreduced RPU keys: exactly
+    /// [`Game::is_better_response`], without its gcds.
     pub fn is_better_response(&self, p: MinerId, to: CoinId) -> bool {
+        let from = self.config.coin_of(p);
         self.miner_active[p.index()]
             && self.coin_active[to.index()]
-            && self
-                .game
-                .is_better_response(p, to, &self.config, &self.masses)
+            && to != from
+            && self.game.allowed(p, to)
+            && self.rpu_key(p, to, from) > self.rpu_key(p, from, from)
     }
 
     /// The payoff gain of moving `p` to `to`, `O(1)`.
@@ -647,11 +651,27 @@ impl<'g> MassTracker<'g> {
 
     /// All better-response steps of `p` over the live coins, `O(coins)`.
     pub fn better_responses(&self, p: MinerId) -> Vec<CoinId> {
+        self.improving_targets(p).collect()
+    }
+
+    /// [`MassTracker::better_responses`] without the collection: the
+    /// targets in coin order, computed as the iterator is driven.
+    pub(crate) fn improving_targets(&self, p: MinerId) -> impl Iterator<Item = CoinId> + '_ {
         self.game
             .system()
             .coin_ids()
-            .filter(|&c| self.is_better_response(p, c))
-            .collect()
+            .filter(move |&c| self.is_better_response(p, c))
+    }
+
+    /// [`Game::rpu_after_join`] under the maintained masses, as an
+    /// unreduced comparison key.
+    pub(crate) fn rpu_key(&self, p: MinerId, c: CoinId, current: CoinId) -> RpuKey {
+        RpuKey::after_join(self.game, p, c, current, &self.masses)
+    }
+
+    /// [`MassTracker::gain`] as an unreduced comparison key.
+    pub(crate) fn gain_key(&self, p: MinerId, to: CoinId) -> GainKey {
+        GainKey::of(self.game, p, to, self.config.coin_of(p), &self.masses)
     }
 
     /// `p`'s best response over the live coins (or `None` if stable),
@@ -1167,12 +1187,9 @@ impl<'g> MassTracker<'g> {
     /// The RPU miner `p` would experience after joining `c` from nowhere
     /// (`F(c) / (M_c + m_p)`): the placement objective of arrivals and
     /// forced relocations.
-    fn joined_rpu(&self, p: MinerId, c: CoinId) -> Ratio {
+    fn joined_rpu(&self, p: MinerId, c: CoinId) -> RpuKey {
         let mass = self.masses.mass_of(c) + u128::from(self.game.system().power_of(p));
-        self.game
-            .reward_of(c)
-            .checked_div_int(mass as i128)
-            .expect("mass fits i128 by construction")
+        RpuKey::new(self.game.reward_of(c), mass)
     }
 
     /// The best active permitted coin to place `p` on (highest post-join
@@ -1180,7 +1197,7 @@ impl<'g> MassTracker<'g> {
     /// permitted. Placement is *forced*: unlike a better response it
     /// needs no current payoff to beat.
     fn forced_placement(&self, p: MinerId) -> Option<CoinId> {
-        let mut best: Option<(Ratio, CoinId)> = None;
+        let mut best: Option<(RpuKey, CoinId)> = None;
         for c in self.game.system().coin_ids() {
             if !self.coin_active[c.index()] || !self.game.allowed(p, c) {
                 continue;

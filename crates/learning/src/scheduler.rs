@@ -12,9 +12,15 @@
 //! * the **incremental protocol** ([`Scheduler::pick_incremental`]) —
 //!   the production path. The engine hands the scheduler a
 //!   [`MoveSource`] and the pick is answered from maintained group
-//!   state, `O(groups × coins)` or better per step, never materializing
-//!   the per-miner move list. This is what lifts every bundled
-//!   scheduler to 250k-miner populations.
+//!   state, never materializing the per-miner move list: `O(groups)`
+//!   for max-gain and the two power rules, `O(groups × log members)`
+//!   for round-robin, and `O(unstable groups × coins)` for min-gain and
+//!   uniform-random. Each
+//!   move then costs the source's cache repair, whatever the scheduler:
+//!   one payoff comparison per cached group, plus an `O(coins)` re-probe
+//!   of each group on the two touched coins. Every such comparison is an
+//!   unreduced cross product, not a reduced [`Ratio`]. This is what
+//!   lifts every bundled scheduler to 250k-miner populations.
 //! * the **eager oracle** ([`Scheduler::pick_with`]) — the reference
 //!   semantics over the complete improving-move list. The property
 //!   suite (`tests/scheduler_equivalence.rs`) pins the incremental pick

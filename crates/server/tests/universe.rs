@@ -1,8 +1,8 @@
 //! Universe reuse on the live server: the one `Universes` slot a server
 //! owns lets consecutive `RunEnsemble` requests over the same
-//! population fork one universe, misses whenever the population
-//! changes, and is never touched by scheduled churny ensembles (which
-//! build a universe per replica). Reuse must never change a report.
+//! population fork one universe and misses whenever the population
+//! changes, for churny and scheduled ensembles as for the rest. Reuse
+//! must never change a report.
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -69,8 +69,9 @@ fn the_server_reuses_its_last_universe_and_only_where_it_should() {
     drop(client);
     assert_eq!(builds(), Some(3));
 
-    // Scheduled churny ensembles, one per scheduler, over two
-    // concurrent sessions: none of them reads or writes the slot.
+    // Scheduled churny ensembles, one per scheduler and each over its
+    // own population, on two concurrent sessions: six distinct keys,
+    // six builds.
     let churny: Vec<EnsembleSpec> = SchedulerKind::ALL
         .iter()
         .enumerate()
@@ -90,14 +91,24 @@ fn the_server_reuses_its_last_universe_and_only_where_it_should() {
             });
         }
     });
-    assert_eq!(
-        builds(),
-        Some(3),
-        "scheduled churny specs build no universe"
-    );
+    assert_eq!(builds(), Some(9), "one build per distinct churny key");
+
+    // A scheduled churny spec and its repeat under another seed and
+    // scheduler: the first builds, the repeat hits the slot.
+    let repeated = |seed, kind| {
+        EnsembleSpec::new(60, 2, seed)
+            .with_scheduler(kind)
+            .with_churn(10)
+    };
+    let mut client = Client::connect(addr).unwrap();
+    serve_and_compare(&mut client, &repeated(50, SchedulerKind::MaxGain));
+    assert_eq!(builds(), Some(10));
+    serve_and_compare(&mut client, &repeated(51, SchedulerKind::UniformRandom));
+    assert_eq!(builds(), Some(10), "a repeated churny key must hit");
+    drop(client);
 
     shutdown(addr);
     let summary = handle.join().unwrap();
-    assert_eq!(summary.served, 4 + SchedulerKind::ALL.len() as u64);
+    assert_eq!(summary.served, 4 + SchedulerKind::ALL.len() as u64 + 2);
     assert_eq!(summary.rejected, 0);
 }
