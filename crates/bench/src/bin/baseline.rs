@@ -41,6 +41,15 @@
 //!   contract the same way `telemetry` gates the metrics layer.
 //!
 //! Layers without a stated repeat count are best of two runs.
+//!
+//! What the layers cannot see: `dynamics`, `scheduler/*`, `telemetry`
+//! and `tracing` start every miner on coin 0, so movers leave each class
+//! in ascending id order and every group-index insert is a push onto the
+//! end of its class. The cost of inserting into the middle of a large
+//! class (the group index's run layout, `crates/game/src/tracker.rs`)
+//! never shows in them. `ensemble` is the layer that can see it: its
+//! replicas start from random configurations, where almost every step
+//! inserts mid-class.
 //! `--quick` (the CI smoke mode) measures the same layers at 10k miners
 //! and 16 server requests.
 //!

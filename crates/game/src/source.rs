@@ -62,7 +62,7 @@
 //! # Ok::<(), goc_game::GameError>(())
 //! ```
 
-use std::collections::VecDeque;
+use std::collections::VecDeque; // allow-collection: the FIFO dirty-group queue
 
 use rand::Rng;
 
@@ -101,7 +101,7 @@ pub struct MoveSource<'g> {
     /// Per-group cached decision, parallel to the tracker's group list.
     cache: Vec<Cached>,
     /// Groups whose cache entry is [`Cached::Stale`], pending re-probe.
-    dirty: VecDeque<u32>,
+    dirty: VecDeque<u32>, // allow-collection: FIFO re-probe order, ids only
     /// Number of groups currently cached as unstable.
     unstable: usize,
     /// Lifetime count of `O(coins)` cache re-probes ([`recompute`]
@@ -214,13 +214,7 @@ impl<'g> MoveSource<'g> {
     }
 
     fn mark_stale(&mut self, gid: u32) {
-        let old = std::mem::replace(&mut self.cache[gid as usize], Cached::Stale);
-        match old {
-            Cached::Stale => return, // already queued
-            Cached::Decision(Some(_)) => self.unstable -= 1,
-            Cached::Decision(None) => {}
-        }
-        self.dirty.push_back(gid);
+        mark_stale_in(&mut self.cache, &mut self.dirty, &mut self.unstable, gid);
     }
 
     /// Re-probes group `gid` from scratch: `O(coins)`.
@@ -614,11 +608,18 @@ impl<'g> MoveSource<'g> {
         }
     }
 
-    /// Queues a re-probe for every class keyed to `c`.
+    /// Queues a re-probe for every class keyed to `c`, walking the
+    /// tracker's key range in place (the borrows are split by field).
     fn mark_coin_groups_stale(&mut self, c: CoinId) {
-        let touched: Vec<u32> = self.tracker.gids_on(c).collect();
-        for gid in touched {
-            self.mark_stale(gid);
+        let MoveSource {
+            tracker,
+            cache,
+            dirty,
+            unstable,
+            ..
+        } = self;
+        for gid in tracker.gids_on(c) {
+            mark_stale_in(cache, dirty, unstable, gid);
         }
     }
 
@@ -696,6 +697,23 @@ impl<'g> MoveSource<'g> {
             }
         }
     }
+}
+
+/// [`MoveSource::mark_stale`] over the fields it touches, so callers
+/// that hold a borrow of the tracker can still queue re-probes.
+fn mark_stale_in(
+    cache: &mut [Cached],
+    dirty: &mut VecDeque<u32>, // allow-collection: the dirty-group queue
+    unstable: &mut usize,
+    gid: u32,
+) {
+    let old = std::mem::replace(&mut cache[gid as usize], Cached::Stale);
+    match old {
+        Cached::Stale => return, // already queued
+        Cached::Decision(Some(_)) => *unstable -= 1,
+        Cached::Decision(None) => {}
+    }
+    dirty.push_back(gid);
 }
 
 #[cfg(test)]

@@ -4,6 +4,11 @@
 //! classes whose member slab is released and later reused by a
 //! retire/relaunch cycle — every query must agree with a scratch
 //! `BTreeSet` oracle rebuilt from the tracker's observable state.
+//!
+//! The small random games keep every class inside one storage run; a
+//! second generator builds classes of hundreds of members that span
+//! several runs and drives them with move orders that land inserts at
+//! run fronts and in run middles, so runs split, drain and are dropped.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -87,7 +92,7 @@ fn assert_matches_oracle(tracker: &MassTracker<'_>) -> Result<(), TestCaseError>
     }
 
     for gid in 0..tracker.group_count() as u32 {
-        let members = tracker.members_of(gid);
+        let members: Vec<MinerId> = tracker.members_of(gid).collect();
         prop_assert!(
             members.windows(2).all(|w| w[0] < w[1]),
             "group {} iterates out of order: {:?}",
@@ -191,6 +196,111 @@ proptest! {
             assert_matches_oracle(&tracker)?;
         }
         while tracker.undo_delta().is_some() {}
+        assert_matches_oracle(&tracker)?;
+    }
+}
+
+/// A game whose classes span several member-storage runs: 600–2000
+/// miners with one or two powers over two or three coins. Every miner
+/// starts on coin 0, so that coin holds one or two classes of at least
+/// 300 members.
+fn multi_run_game() -> impl Strategy<Value = Game> {
+    (600usize..2001, 1usize..3, 2usize..4).prop_flat_map(|(n, classes, k)| {
+        let powers = proptest::collection::vec(1u64..10, classes);
+        let rewards = proptest::collection::vec(1u64..200, k);
+        (powers, rewards).prop_map(move |(classes, rewards)| {
+            let powers: Vec<u64> = (0..n).map(|i| classes[i % classes.len()]).collect();
+            Game::build(&powers, &rewards).expect("valid parameters")
+        })
+    })
+}
+
+/// Every miner id in one of three orders: descending (each insert lands
+/// in front of its class), interleaved from both ends, or the even ids
+/// ascending followed by the odd ids descending (inserts into the middle
+/// of a class).
+fn move_order(n: usize, kind: usize) -> Vec<MinerId> {
+    let ids: Vec<usize> = match kind % 3 {
+        0 => (0..n).rev().collect(),
+        1 => (0..n)
+            .map(|i| if i % 2 == 0 { i / 2 } else { n - 1 - i / 2 })
+            .collect(),
+        _ => (0..n)
+            .step_by(2)
+            .chain((0..n).filter(|i| i % 2 == 1).rev())
+            .collect(),
+    };
+    ids.into_iter().map(MinerId).collect()
+}
+
+/// Applies `delta`, checking the oracle every 97th application.
+fn apply_checked(
+    tracker: &mut MassTracker<'_>,
+    delta: Delta,
+    tick: &mut usize,
+) -> Result<(), TestCaseError> {
+    tracker.apply_delta(delta).expect("legal delta");
+    *tick += 1;
+    if tick.is_multiple_of(97) {
+        assert_matches_oracle(tracker)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Classes spanning several runs stay oracle-exact while moves split
+    /// and drain their runs, while retirements empty them onto the free
+    /// list and moves onto the relaunched coin refill them, and through
+    /// the full rewind.
+    #[test]
+    fn multi_run_classes_match_btree_oracle(
+        game in multi_run_game(),
+        kind in 0usize..3,
+        keep in 2usize..5,
+    ) {
+        let n = game.system().num_miners();
+        let k = game.system().num_coins();
+        let start = Configuration::uniform(CoinId(0), game.system()).expect("valid start");
+        let mut tracker = MassTracker::new(&game, &start).expect("valid start");
+        assert_matches_oracle(&tracker)?;
+        let mut tick = 0;
+        // Spread everyone over the other coins, then bring all but every
+        // `keep`-th miner back to coin 0 in another order.
+        for (i, &p) in move_order(n, kind).iter().enumerate() {
+            let to = CoinId(1 + i % (k - 1));
+            apply_checked(&mut tracker, Delta::Move { miner: p, to }, &mut tick)?;
+        }
+        assert_matches_oracle(&tracker)?;
+        for (i, &p) in move_order(n, kind + 1).iter().enumerate() {
+            if i % keep != 0 {
+                apply_checked(&mut tracker, Delta::Move { miner: p, to: CoinId(0) }, &mut tick)?;
+            }
+        }
+        assert_matches_oracle(&tracker)?;
+        // Retire/relaunch cycles: each retirement empties the coin's
+        // multi-run classes; the moves back refill them.
+        for cycle in 0..2 {
+            let coin = CoinId(cycle % k);
+            apply_checked(&mut tracker, Delta::RetireCoin { coin }, &mut tick)?;
+            assert_matches_oracle(&tracker)?;
+            prop_assert_eq!(tracker.mass_of(coin), 0);
+            apply_checked(&mut tracker, Delta::LaunchCoin { coin }, &mut tick)?;
+            for (i, &p) in move_order(n, kind + 2 + cycle).iter().enumerate() {
+                if i % keep != 1 {
+                    apply_checked(&mut tracker, Delta::Move { miner: p, to: coin }, &mut tick)?;
+                }
+            }
+            assert_matches_oracle(&tracker)?;
+        }
+        while tracker.undo_delta().is_some() {
+            tick += 1;
+            if tick.is_multiple_of(97) {
+                assert_matches_oracle(&tracker)?;
+            }
+        }
+        prop_assert_eq!(tracker.config(), &start);
         assert_matches_oracle(&tracker)?;
     }
 }

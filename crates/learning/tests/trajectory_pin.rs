@@ -4,9 +4,16 @@
 //! without a churn plan. The values were recorded before the two engine
 //! loops were merged into one; any change to pick order, churn
 //! interleaving or decision-cache work shows up here.
+//!
+//! A second table pins a 20 000-miner game from a seeded random start
+//! whose strategic classes hold hundreds of members each, so the group
+//! index splits, empties and refills classes that span several storage
+//! runs. Its rows were recorded before the class storage was split into
+//! runs.
 
-use goc_game::{CoinId, Configuration, Delta, Game, MinerId};
+use goc_game::{gen::random_config, CoinId, Configuration, Delta, Game, MinerId};
 use goc_learning::{ChurnPlan, Dynamics, SchedulerKind};
+use rand::{rngs::SmallRng, SeedableRng};
 
 /// 24 miners in four power classes over three coins, all starting on
 /// coin 0.
@@ -46,8 +53,20 @@ type Pin<C> = (usize, usize, u64, C);
 
 fn run(kind: Option<SchedulerKind>, plan: Option<&ChurnPlan>) -> Pin<String> {
     let (game, start) = fixture();
+    let (steps, churn_applied, reprobes, config) = run_on(&game, &start, kind, plan);
+    let config = config.as_slice().iter();
+    let config = config.map(|c| c.0.to_string()).collect();
+    (steps, churn_applied, reprobes, config)
+}
+
+fn run_on(
+    game: &Game,
+    start: &Configuration,
+    kind: Option<SchedulerKind>,
+    plan: Option<&ChurnPlan>,
+) -> Pin<Configuration> {
     let mut sched = kind.map(|kind| kind.build(11));
-    let mut dynamics = Dynamics::new(&game).start(&start);
+    let mut dynamics = Dynamics::new(game).start(start);
     if let Some(sched) = sched.as_mut() {
         dynamics = dynamics.scheduler(sched.as_mut());
     }
@@ -56,13 +75,11 @@ fn run(kind: Option<SchedulerKind>, plan: Option<&ChurnPlan>) -> Pin<String> {
     }
     let outcome = dynamics.run().unwrap();
     assert!(outcome.converged);
-    let config = outcome.final_config.as_slice().iter();
-    let config = config.map(|c| c.0.to_string()).collect();
     (
         outcome.steps,
         outcome.churn_applied,
         outcome.cache_reprobes,
-        config,
+        outcome.final_config,
     )
 }
 
@@ -91,6 +108,79 @@ fn trajectories_are_pinned_for_every_scheduler_with_and_without_churn() {
     for (kind, churn, (steps, churn_applied, reprobes, config)) in PINS {
         let got = run(kind, churn.then_some(&plan));
         let want = (steps, churn_applied, reprobes, config.to_string());
+        assert_eq!(got, want, "{kind:?}, churn: {churn}");
+    }
+}
+
+const LARGE_MINERS: usize = 20_000;
+
+/// 20 000 miners in eight power classes over three coins, from a seeded
+/// random start: about 830 members per class, several runs each.
+fn large_fixture() -> (Game, Configuration) {
+    let classes = [34u64, 21, 13, 8, 5, 3, 2, 1];
+    let powers: Vec<u64> = (0..LARGE_MINERS).map(|i| classes[i % 8]).collect();
+    let game = Game::build(&powers, &[55, 30, 15]).unwrap();
+    let start = random_config(&mut SmallRng::seed_from_u64(22), game.system());
+    (game, start)
+}
+
+/// Every tenth miner starts offline. The stream brings miners in and
+/// takes them out, retires coin 1 (forcing a third of the population
+/// off it, which empties its classes) and relaunches it (the dynamics
+/// refill them), and ends far beyond convergence.
+fn large_plan() -> ChurnPlan {
+    let insert = |miner, coin| Delta::InsertMiner {
+        miner: MinerId(miner),
+        coin,
+    };
+    ChurnPlan::with_events(
+        Some((0..LARGE_MINERS).map(|i| i % 10 != 9).collect()),
+        None,
+        [
+            (50, insert(9, None)),
+            (100, Delta::RemoveMiner { miner: MinerId(0) }),
+            (200, Delta::RetireCoin { coin: CoinId(1) }),
+            (400, Delta::LaunchCoin { coin: CoinId(1) }),
+            (600, insert(19, Some(CoinId(2)))),
+            (
+                900,
+                Delta::RemoveMiner {
+                    miner: MinerId(12_345),
+                },
+            ),
+            (1_000_000, insert(29, None)),
+        ],
+    )
+}
+
+/// FNV-1a (64-bit) over one byte per miner: its final coin.
+fn fnv1a(config: &Configuration) -> u64 {
+    config
+        .as_slice()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, c| {
+            (h ^ c.0 as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// `(scheduler, churn?, pin)` on [`large_fixture`], the final
+/// configuration as its [`fnv1a`] digest.
+#[rustfmt::skip]
+const LARGE_PINS: [(Option<SchedulerKind>, bool, Pin<u64>); 4] = [
+    (None, false, (6100, 0, 0, 12086306941733014207)),
+    (None, true, (6282, 7, 0, 6417550950313868937)),
+    (Some(SchedulerKind::RoundRobin), false, (5657, 0, 121544, 14499006053869220954)),
+    (Some(SchedulerKind::RoundRobin), true, (6969, 7, 156881, 11860891777901768777)),
+];
+
+#[test]
+fn large_class_trajectories_are_pinned() {
+    let (game, start) = large_fixture();
+    let plan = large_plan();
+    for (kind, churn, want) in LARGE_PINS {
+        let (steps, churn_applied, reprobes, config) =
+            run_on(&game, &start, kind, churn.then_some(&plan));
+        let got = (steps, churn_applied, reprobes, fnv1a(&config));
         assert_eq!(got, want, "{kind:?}, churn: {churn}");
     }
 }
