@@ -50,7 +50,9 @@ use serde::{Deserialize, Serialize};
 use goc_game::{gen::random_config, CoinId, Configuration, Game, MassTracker, Snapshot};
 use goc_learning::{ChurnPlan, Dynamics, DynamicsObserver, SchedulerKind};
 use goc_sim::fixtures::{scale_churn_base, scale_class_game};
-use goc_sim::{churn_timeline, churn_universe, stride_deltas, ChurnSpec, ScenarioSpec};
+use goc_sim::{
+    churn_time_zero, churn_timeline, churn_universe, stride_deltas, ChurnSpec, ScenarioSpec,
+};
 
 use goc_telemetry::trace::{TraceEventKind, TraceLane};
 use goc_telemetry::Observe;
@@ -588,10 +590,11 @@ fn build_universe(spec: &EnsembleSpec) -> Result<Snapshot, String> {
         Some(churn) => {
             // The churn universe is seed-invariant (only the timeline
             // varies per replica — pinned by the bridge tests), so any
-            // seed describes the shared time-zero state.
+            // seed describes the shared time-zero state; each replica
+            // lowers its own timeline.
             let scenario = churn_scenario(spec, churn, 0);
             let universe =
-                churn_universe(&scenario, CHURN_RESOLUTION).map_err(|e| e.to_string())?;
+                churn_time_zero(&scenario, CHURN_RESOLUTION).map_err(|e| e.to_string())?;
             let tracker = MassTracker::with_activity(
                 &universe.game,
                 &universe.start,

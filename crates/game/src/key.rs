@@ -5,12 +5,23 @@
 //! which reduces the quotient: up to three `u128` Euclid gcds per value,
 //! all wasted when the value is only ever compared. [`RpuKey`] keeps the
 //! unreduced pair and orders by cross multiplication,
-//! `F_a.num·F_b.den·M_b` against `F_b.num·F_a.den·M_a` in `u128`;
+//! `F_a.num·F_b.den·M_b` against `F_b.num·F_a.den·M_a`;
 //! [`GainKey`] does the same for the payoff gain `m_p·(to − from)` of
-//! [`Game::gain`]. A product that overflows falls back to comparing the
-//! reduced [`Ratio`]s, so both orders are exact wherever the oracle is
-//! defined and agree with it value for value (the proptests below pin
-//! that against [`Game`] itself).
+//! [`Game::gain`].
+//!
+//! An [`RpuKey`] comparison runs on the cheapest width that is exact:
+//!
+//! * **narrow** — when `F.num` and `F.den·M` both fit `u64` on both
+//!   sides (every bundled population: integer rewards, masses far below
+//!   2^64), the two cross products are widening `u64 × u64 → u128`
+//!   multiplies, which cannot overflow;
+//! * **wide** — otherwise the same products in checked `u128`;
+//! * **fallback** — should a `u128` product overflow, the reduced
+//!   [`Ratio`]s are compared.
+//!
+//! So both orders are exact wherever the oracle is defined and agree
+//! with it value for value (the proptests below pin that against
+//! [`Game`] itself, one regime per path).
 
 use std::cmp::Ordering;
 
@@ -43,12 +54,36 @@ impl RpuKey {
         current: CoinId,
         masses: &Masses,
     ) -> RpuKey {
-        let joining = if c == current {
-            0
-        } else {
-            u128::from(game.system().power_of(p))
-        };
+        RpuKey::for_power(game, game.system().power_of(p), c, current, masses)
+    }
+
+    /// [`RpuKey::after_join`] for any miner of power `power`.
+    pub(crate) fn for_power(
+        game: &Game,
+        power: u64,
+        c: CoinId,
+        current: CoinId,
+        masses: &Masses,
+    ) -> RpuKey {
+        let joining = if c == current { 0 } else { u128::from(power) };
         RpuKey::new(game.reward_of(c), masses.mass_of(c) + joining)
+    }
+
+    /// The unreduced `(F.num, F.den·M)` when both fit `u64`.
+    fn narrow_parts(self) -> Option<(u64, u64)> {
+        let num = u64::try_from(self.reward.numerator()).ok()?;
+        let den = u64::try_from(self.reward.denominator()).ok()?;
+        let mass = u64::try_from(self.mass).ok()?;
+        Some((num, den.checked_mul(mass)?))
+    }
+
+    /// The order by widening `u64` cross multiplication, `None` unless
+    /// both keys are narrow. Each product is below 2^128, so none can
+    /// overflow.
+    fn narrow_cross(self, other: RpuKey) -> Option<Ordering> {
+        let (a, b) = self.narrow_parts()?;
+        let (c, d) = other.narrow_parts()?;
+        Some((u128::from(a) * u128::from(d)).cmp(&(u128::from(c) * u128::from(b))))
     }
 
     /// The unreduced `(F.num, F.den·M)`, `None` on overflow.
@@ -70,12 +105,24 @@ impl RpuKey {
         let (c, d) = other.parts()?;
         Some(a.checked_mul(d)?.cmp(&c.checked_mul(b)?))
     }
+
+    /// The order off the narrow path: `u128` cross multiplication, or
+    /// the reduced [`Ratio`]s should a product overflow. Kept out of
+    /// line so the narrow path inlines into the probe loops.
+    #[inline(never)]
+    fn cmp_wide(self, other: RpuKey) -> Ordering {
+        self.cross(other)
+            .unwrap_or_else(|| self.ratio().cmp(&other.ratio()))
+    }
 }
 
 impl Ord for RpuKey {
+    #[inline]
     fn cmp(&self, other: &RpuKey) -> Ordering {
-        self.cross(*other)
-            .unwrap_or_else(|| self.ratio().cmp(&other.ratio()))
+        match self.narrow_cross(*other) {
+            Some(order) => order,
+            None => self.cmp_wide(*other),
+        }
     }
 }
 
@@ -275,7 +322,8 @@ mod tests {
         }
 
         /// Integer rewards up to `MAX_UNIT` over masses below 2^20 — the
-        /// scale of the bundled populations: gains take the fast path too.
+        /// scale of the bundled populations: every RPU comparison takes
+        /// the narrow `u64` path, and gains take the fast path too.
         #[test]
         fn integer_rewards_over_population_masses(
             powers in proptest::collection::vec(1u64..(1 << 10), 2..4),
@@ -284,10 +332,52 @@ mod tests {
         ) {
             let game = game(&powers, rewards.iter().map(|&r| Ratio::from(r)).collect());
             let masses = masses(&mass);
-            let (fallbacks, _) = assert_orders_agree(&rpu_pairs(&game, &masses), RpuKey::cross)?;
+            let pairs = rpu_pairs(&game, &masses);
+            let (wide, _) = assert_orders_agree(&pairs, RpuKey::narrow_cross)?;
+            prop_assert_eq!(wide, 0);
+            let (fallbacks, _) = assert_orders_agree(&pairs, RpuKey::cross)?;
             prop_assert_eq!(fallbacks, 0);
             let (fallbacks, _) = assert_orders_agree(&gain_pairs(&game, &masses), GainKey::cross)?;
             prop_assert_eq!(fallbacks, 0);
+        }
+
+        /// Keys whose `F.num` and `F.den·M` straddle 2^64: coin 0 is
+        /// always narrow (an integer reward over a mass below 2^40),
+        /// coin 1 never is (its numerator is at least 2^64), and coin 2
+        /// lands on either side. So narrow pairs, mixed narrow/wide
+        /// pairs and wide pairs all occur (the widest of them overflow
+        /// `u128` and reach the `Ratio` fallback); every order must
+        /// match the oracle.
+        #[test]
+        fn keys_straddling_the_narrow_width(
+            powers in proptest::collection::vec(1..=MAX_UNIT, 2..4),
+            narrow in (1..=MAX_UNIT, 1u64..(1 << 40)),
+            wide in (64u32..70, 0i128..(1 << 60), 50u32..63),
+            straddle in (58u32..70, 0i128..(1 << 56), 1i128..64, 50u32..63),
+            low in proptest::collection::vec(0u64..(1 << 48), 2),
+        ) {
+            let (w_bits, w_low, w_mass) = wide;
+            let (s_bits, s_low, s_den, s_mass) = straddle;
+            let rewards = vec![
+                Ratio::from(narrow.0),
+                Ratio::from_int((1 << w_bits) + w_low),
+                Ratio::new((1 << s_bits) + s_low, s_den).unwrap(),
+            ];
+            let game = game(&powers, rewards);
+            let mass = [narrow.1, (1 << w_mass) + low[0], (1 << s_mass) + low[1]];
+            let pairs = rpu_pairs(&game, &masses(&mass));
+            let (mut both, mut one) = (0, 0);
+            for &(a, _) in &pairs {
+                for &(b, _) in &pairs {
+                    match (a.narrow_parts().is_some(), b.narrow_parts().is_some()) {
+                        (true, true) => both += 1,
+                        (true, false) | (false, true) => one += 1,
+                        (false, false) => {}
+                    }
+                }
+            }
+            prop_assert!(both > 0 && one > 0, "{} narrow, {} mixed pairs", both, one);
+            assert_orders_agree(&pairs, RpuKey::narrow_cross)?;
         }
 
         /// Designed-style rational rewards whose ~2^45 denominators push

@@ -12,22 +12,37 @@
 //! rescan. It keeps, per strategic group (same coin, same power, same
 //! restriction row — see the [tracker docs](crate::tracker)), a cached
 //! best-response **decision**, maintained under [`MoveSource::apply`] /
-//! [`MoveSource::undo`] with a dirty-group queue:
+//! [`MoveSource::undo`] by one repair pass over the groups, with a
+//! dirty-group queue for the decisions the pass cannot settle. A move
+//! off coin `a` onto coin `b` makes `a` the only coin that became *more*
+//! attractive and `b` the only one that became less, so each group's
+//! decision is repaired with at most two key comparisons:
 //!
-//! * groups keyed to the two coins a move touches are queued for a full
-//!   `O(coins)` re-probe (found by a key-range scan, not a group sweep);
-//! * every other group gets an `O(1)` touch-up — the vacated coin is the
-//!   only coin that became *more* attractive, so a cached-stable group
-//!   can only turn unstable towards it, and a cached best response can
-//!   only be displaced by it (or invalidated when the joined coin *was*
-//!   the cached best).
+//! * a group on `a` earns more: a cached stable decision stays, a
+//!   cached best `d ≠ b` stays exactly while it still beats the risen
+//!   payoff, and only a cached best of `b` is queued for a full
+//!   `O(coins)` re-probe;
+//! * a group on `b` earns less: a cached best stays unless `a` now beats
+//!   it (the lower coin id wins a tie), and only a cached stable group is
+//!   re-probed, since any coin may now beat its payoff;
+//! * a group the move emptied drops to stable without a probe;
+//! * every other group gets the `O(1)` touch-up — a cached-stable group
+//!   can only turn unstable towards `a`, and a cached best response can
+//!   only be displaced by `a` (or invalidated when `b` *was* the cached
+//!   best, which queues a re-probe).
 //!
-//! Every payoff comparison here — the touch-up, the re-probe, the
+//! Arrivals and departures are repaired the same way with one side
+//! absent. Coin launches and retirements keep the coarser repair: every
+//! group on a touched coin is re-probed.
+//!
+//! Every payoff comparison here — the repair, the re-probe, the
 //! min-gain target and the gain ordering — is made on unreduced RPU and
-//! gain keys: two `u128` cross products instead of a reduced [`Ratio`],
-//! whose construction runs up to three gcds, with an exact `Ratio`
-//! fallback should a product overflow. The decisions are the ones the
-//! reduced comparisons would make, value for value.
+//! gain keys instead of a reduced [`Ratio`], whose construction runs up
+//! to three gcds: at population scale two widening `u64` products, with
+//! checked `u128` products and an exact `Ratio` fallback beyond (the
+//! crate-private `key` module). Coin, power and restriction come from
+//! each group's class key, never from a member. The decisions are the
+//! ones the reduced comparisons would make, value for value.
 //!
 //! On top of the cache the source exposes the scheduler protocol —
 //! [`MoveSource::improving_move_for`], [`MoveSource::extremal_gain_move`],
@@ -73,7 +88,7 @@ use crate::game::{Game, Move};
 use crate::ids::{CoinId, MinerId};
 use crate::key::{GainKey, RpuKey};
 use crate::ratio::{Extended, Ratio};
-use crate::tracker::MassTracker;
+use crate::tracker::{GroupIndex, GroupKey, MassTracker};
 
 /// Which end of a gain or power ordering an extremal query selects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +108,17 @@ enum Cached {
     Decision(Option<CoinId>),
 }
 
+/// What a shift does to one group's cached decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Repair {
+    /// Still current.
+    Keep,
+    /// Replaced in place.
+    Set(Option<CoinId>),
+    /// Only a full re-probe can tell: queue one.
+    Reprobe,
+}
+
 /// Lazy, incrementally-maintained move discovery over a [`MassTracker`]
 /// (see the [module docs](self) for the protocol and its cost model).
 #[derive(Debug, Clone)]
@@ -100,6 +126,10 @@ pub struct MoveSource<'g> {
     tracker: MassTracker<'g>,
     /// Per-group cached decision, parallel to the tracker's group list.
     cache: Vec<Cached>,
+    /// Per-group class key `(coin, power, restriction)`, parallel to
+    /// `cache`: every probe reads coin, power and restriction from here,
+    /// not from a member.
+    keys: Vec<GroupKey>,
     /// Groups whose cache entry is [`Cached::Stale`], pending re-probe.
     dirty: VecDeque<u32>, // allow-collection: FIFO re-probe order, ids only
     /// Number of groups currently cached as unstable.
@@ -110,6 +140,9 @@ pub struct MoveSource<'g> {
     ///
     /// [`recompute`]: MoveSource::recompute
     reprobes: u64,
+    /// `(gid, targets, weight)` of each unstable class, reused by every
+    /// [`MoveSource::sample_improving`] draw so a pick allocates nothing.
+    weights: Vec<(u32, usize, usize)>,
 }
 
 impl<'g> MoveSource<'g> {
@@ -127,12 +160,15 @@ impl<'g> MoveSource<'g> {
     /// Wraps an existing tracker.
     pub fn over(tracker: MassTracker<'g>) -> Self {
         let groups = tracker.group_count();
+        let keys = tracker.group_index().class_keys();
         MoveSource {
             tracker,
             cache: vec![Cached::Stale; groups],
+            keys,
             dirty: (0..groups as u32).collect(),
             unstable: 0,
             reprobes: 0,
+            weights: Vec::new(),
         }
     }
 
@@ -220,28 +256,50 @@ impl<'g> MoveSource<'g> {
     /// Re-probes group `gid` from scratch: `O(coins)`.
     fn recompute(&mut self, gid: u32) {
         self.reprobes += 1;
-        let dec = self
-            .tracker
-            .min_member(gid)
-            .and_then(|rep| self.extremal_target(rep, Extremum::Max));
+        let dec = if self.tracker.member_count(gid) == 0 {
+            None
+        } else {
+            self.extremal_target(self.keys[gid as usize], Extremum::Max)
+        };
         self.set_decision(gid, dec);
     }
 
-    /// The improving target of active miner `p` with the extremal
-    /// post-move RPU (lowest coin id on ties), or `None` if `p` is
-    /// stable: at [`Extremum::Max`] exactly [`MassTracker::best_response`],
-    /// at [`Extremum::Min`] the min-gain target. `O(coins)` key
-    /// comparisons, no gcd.
-    fn extremal_target(&self, p: MinerId, extremum: Extremum) -> Option<CoinId> {
-        let game = self.tracker.game();
-        let from = self.tracker.coin_of(p);
-        let current = self.tracker.rpu_key(p, from, from);
+    /// The post-move RPU of coin `c` for a member of class `key`.
+    fn rpu_key(&self, (coin, power, _): GroupKey, c: CoinId) -> RpuKey {
+        self.tracker.power_rpu_key(power, c, CoinId(coin as usize))
+    }
+
+    /// Whether a member of class `key` may move to `c`: a live coin
+    /// other than its own that it is permitted to mine.
+    fn may_join(&self, key: GroupKey, c: CoinId) -> bool {
+        c.index() != key.0 as usize
+            && self.tracker.is_coin_active(c)
+            && GroupIndex::class_allows(self.tracker.game(), key, c)
+    }
+
+    /// The improving targets of a member of class `key`, in coin order.
+    /// The current payoff is keyed once, not once per target.
+    fn improving_targets(&self, key: GroupKey) -> impl Iterator<Item = CoinId> + '_ {
+        let current = self.rpu_key(key, CoinId(key.0 as usize));
+        self.game()
+            .system()
+            .coin_ids()
+            .filter(move |&c| self.may_join(key, c) && self.rpu_key(key, c) > current)
+    }
+
+    /// The improving target of a member of class `key` with the
+    /// extremal post-move RPU (lowest coin id on ties), or `None` if the
+    /// class is stable: at [`Extremum::Max`] exactly
+    /// [`MassTracker::best_response`], at [`Extremum::Min`] the min-gain
+    /// target. `O(coins)` key comparisons, no gcd.
+    fn extremal_target(&self, key: GroupKey, extremum: Extremum) -> Option<CoinId> {
+        let current = self.rpu_key(key, CoinId(key.0 as usize));
         let mut best: Option<(RpuKey, CoinId)> = None;
-        for c in game.system().coin_ids() {
-            if c == from || !self.tracker.is_coin_active(c) || !game.allowed(p, c) {
+        for c in self.game().system().coin_ids() {
+            if !self.may_join(key, c) {
                 continue;
             }
-            let v = self.tracker.rpu_key(p, c, from);
+            let v = self.rpu_key(key, c);
             let wins = best.is_none_or(|(b, _)| match extremum {
                 Extremum::Max => v > b,
                 Extremum::Min => v < b,
@@ -360,7 +418,7 @@ impl<'g> MoveSource<'g> {
                 Extremum::Max => br,
                 // The min-gain target needs its own O(coins) scan.
                 Extremum::Min => self
-                    .extremal_target(rep, Extremum::Min)
+                    .extremal_target(self.keys[gid as usize], Extremum::Min)
                     .expect("unstable groups have an improving target"),
             };
             let gain = self.tracker.gain_key(rep, to);
@@ -423,47 +481,51 @@ impl<'g> MoveSource<'g> {
     /// canonical `(coin, power, restriction)` key order so an eager
     /// implementation can reproduce the draw from the flat move list.
     /// Returns `None` — consuming no randomness — when stable.
-    /// `O(groups × coins)` after revalidation: one pass totals the
-    /// weights, a second locates the draw, and nothing is allocated.
+    /// `O(groups × coins)` after revalidation: one pass weighs the
+    /// unstable classes into a buffer the source keeps, a second walks
+    /// the buffer to the draw, and nothing is allocated once the buffer
+    /// has grown.
     pub fn sample_improving<R: Rng>(&mut self, rng: &mut R) -> Option<Move> {
         self.revalidate();
-        let total: usize = self
-            .unstable_classes()
-            .map(|(_, rep, count)| count * self.tracker.improving_targets(rep).count())
-            .sum();
-        if total == 0 {
-            return None;
-        }
-        let mut r = rng.gen_range(0..total);
-        for (from, miner, count) in self.unstable_classes() {
-            let targets = self.tracker.improving_targets(miner).count();
-            let weight = count * targets;
-            if r < weight {
-                let to = self
-                    .tracker
-                    .improving_targets(miner)
-                    .nth(r % targets)
-                    .expect("r % targets < targets");
-                return Some(Move { miner, from, to });
+        let mut weights = std::mem::take(&mut self.weights);
+        weights.clear();
+        let mut total = 0;
+        for (key, gid) in self.tracker.classes() {
+            if matches!(self.cache[gid as usize], Cached::Decision(Some(_))) {
+                let targets = self.improving_targets(key).count();
+                let weight = self.tracker.member_count(gid) * targets;
+                weights.push((gid, targets, weight));
+                total += weight;
             }
-            r -= weight;
         }
-        unreachable!("r < total by construction")
-    }
-
-    /// `(coin, representative, member count)` of every class cached as
-    /// unstable, in canonical class order.
-    fn unstable_classes(&self) -> impl Iterator<Item = (CoinId, MinerId, usize)> + '_ {
-        self.tracker
-            .classes()
-            .filter(|&(_, gid)| matches!(self.cache[gid as usize], Cached::Decision(Some(_))))
-            .map(|((coin, _, _), gid)| {
-                let rep = self
+        let drawn = (total > 0).then(|| {
+            let mut r = rng.gen_range(0..total);
+            let &(gid, targets, _) = weights
+                .iter()
+                .find(|&&(_, _, weight)| {
+                    let hit = r < weight;
+                    if !hit {
+                        r -= weight;
+                    }
+                    hit
+                })
+                .expect("r < total by construction");
+            let key = self.keys[gid as usize];
+            let to = self
+                .improving_targets(key)
+                .nth(r % targets)
+                .expect("r % targets < targets");
+            Move {
+                miner: self
                     .tracker
                     .min_member(gid)
-                    .expect("unstable groups are nonempty");
-                (CoinId(coin as usize), rep, self.tracker.member_count(gid))
-            })
+                    .expect("unstable groups are nonempty"),
+                from: CoinId(key.0 as usize),
+                to,
+            }
+        });
+        self.weights = weights;
+        drawn
     }
 
     // ------------------------------------------------------------------
@@ -471,8 +533,9 @@ impl<'g> MoveSource<'g> {
     // ------------------------------------------------------------------
 
     /// Moves `p` to `to` through the tracker and repairs the decision
-    /// cache: a full re-probe is queued only for the groups keyed to the
-    /// two touched coins; every other group gets an `O(1)` touch-up.
+    /// cache in one pass over the groups, at most two key comparisons
+    /// each; a full re-probe is queued only where they cannot settle the
+    /// decision (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -490,17 +553,20 @@ impl<'g> MoveSource<'g> {
     /// Applies one churn [`Delta`] through the tracker (see
     /// [`MassTracker::apply_delta`]) and repairs the decision cache:
     ///
-    /// * **move**: re-probe queued for the groups keyed to the two
-    ///   touched coins, `O(1)` touch-up elsewhere;
-    /// * **insert/remove**: re-probe keyed to the single touched coin
-    ///   (membership and payoff changed there); the one-sided touch-up
-    ///   elsewhere — an insertion only made its coin *less* attractive, a
-    ///   removal only made its coin *more* attractive;
+    /// * **move**: the in-place repair of [`MoveSource::apply`];
+    /// * **insert/remove**: the same repair with one side absent — an
+    ///   insertion only made its coin *less* attractive (a stable group
+    ///   there is re-probed), a removal only made its coin *more*
+    ///   attractive (a cached best there stays while it beats the risen
+    ///   payoff);
     /// * **launch**: the new coin is the only thing that became
     ///   attractive, so the vacated-style `O(1)` touch-up suffices;
     /// * **retire**: decisions pointing at the dead coin are invalidated,
-    ///   groups keyed to it are re-probed, and each forced relocation is
-    ///   repaired like a move.
+    ///   groups keyed to it are re-probed, and each forced relocation
+    ///   re-probes the groups on both of its coins, with the `O(1)`
+    ///   touch-up elsewhere (the relocations are repaired as one batch
+    ///   against the final state, which the in-place repair does not
+    ///   cover).
     ///
     /// # Errors
     ///
@@ -574,7 +640,7 @@ impl<'g> MoveSource<'g> {
                 } else {
                     // A fresh empty coin is the only thing that became
                     // attractive — exactly the vacated-coin touch-up.
-                    self.after_shift(Some(*coin), None);
+                    self.after_shift_coarse(Some(*coin), None);
                 }
             }
             AppliedDelta::RetireCoin { coin, relocations } => {
@@ -583,15 +649,15 @@ impl<'g> MoveSource<'g> {
                     // walked back: repair each reversed move, then treat
                     // the re-launched coin as newly attractive.
                     for mv in relocations.iter().rev() {
-                        self.after_shift(Some(mv.to), Some(mv.from));
+                        self.after_shift_coarse(Some(mv.to), Some(mv.from));
                     }
-                    self.after_shift(Some(*coin), None);
+                    self.after_shift_coarse(Some(*coin), None);
                 } else {
                     // Decisions pointing at the dead coin are invalid no
                     // matter what the touch-up logic thinks of its mass.
                     self.invalidate_decisions_to(*coin);
                     for mv in relocations {
-                        self.after_shift(Some(mv.from), Some(mv.to));
+                        self.after_shift_coarse(Some(mv.from), Some(mv.to));
                     }
                     self.mark_coin_groups_stale(*coin);
                 }
@@ -602,6 +668,18 @@ impl<'g> MoveSource<'g> {
     /// Grows the cache to cover groups minted by the latest transition
     /// (born dirty).
     fn grow_cache(&mut self) {
+        let known = self.cache.len();
+        if known == self.tracker.group_count() {
+            return;
+        }
+        // Minting is rare (bounded by the distinct keys ever seen), so
+        // one scan of the class list for the new keys stays cold.
+        self.keys.resize(self.tracker.group_count(), (0, 0, 0));
+        for (key, gid) in self.tracker.classes() {
+            if gid as usize >= known {
+                self.keys[gid as usize] = key;
+            }
+        }
         while self.cache.len() < self.tracker.group_count() {
             self.cache.push(Cached::Stale);
             self.dirty.push_back(self.cache.len() as u32 - 1);
@@ -633,68 +711,131 @@ impl<'g> MoveSource<'g> {
         }
     }
 
-    /// Cache repair after mass left `vacated` and/or joined `joined`
-    /// (population deltas touch a single coin, so either side may be
-    /// absent).
+    /// Cache repair after one shift of mass off `vacated` and/or onto
+    /// `joined` — a move, an arrival or a departure (either side may be
+    /// absent): one pass over the groups, each repaired by
+    /// [`MoveSource::repair_vacated`], [`MoveSource::repair_joined`] or
+    /// [`MoveSource::touch_up`] by the coin it is on. An emptied group
+    /// drops to stable without a probe.
     fn after_shift(&mut self, vacated: Option<CoinId>, joined: Option<CoinId>) {
         // The transition may have minted a brand-new group (first visit
         // to a (coin, power) class): grow the cache, born dirty.
         self.grow_cache();
-        // Full re-probe for the classes keyed to the touched coins (their
-        // own payoff changed; membership of the mover's groups changed).
+        for gid in 0..self.cache.len() as u32 {
+            let Cached::Decision(dec) = self.cache[gid as usize] else {
+                continue;
+            };
+            let key = self.keys[gid as usize];
+            let own = Some(CoinId(key.0 as usize));
+            let repair = if self.tracker.member_count(gid) == 0 {
+                Repair::Set(None)
+            } else if own == vacated {
+                self.repair_vacated(key, dec, joined)
+            } else if own == joined {
+                self.repair_joined(key, dec, vacated)
+            } else {
+                self.touch_up(key, dec, vacated, joined)
+            };
+            match repair {
+                Repair::Keep => {}
+                Repair::Set(dec) => self.set_decision(gid, dec),
+                Repair::Reprobe => self.mark_stale(gid),
+            }
+        }
+    }
+
+    /// [`MoveSource::after_shift`] for the retire and launch paths,
+    /// whose shifts arrive in batches or change which coins are live:
+    /// every group on a touched coin is queued for a full re-probe
+    /// first, so the pass only touches up the others.
+    fn after_shift_coarse(&mut self, vacated: Option<CoinId>, joined: Option<CoinId>) {
+        self.grow_cache();
         for c in [vacated, joined].into_iter().flatten() {
             self.mark_coin_groups_stale(c);
         }
-        // O(1) touch-up for every other group: `vacated` lost mass (or
-        // newly launched), so it is the only coin that became more
-        // attractive; `joined` got strictly worse, which only matters
-        // where it was the cached best.
-        for gid in 0..self.cache.len() {
-            let Cached::Decision(dec) = self.cache[gid] else {
-                continue;
-            };
-            let Some(rep) = self.tracker.min_member(gid as u32) else {
-                continue;
-            };
-            let game = self.tracker.game();
-            let own = self.tracker.coin_of(rep);
-            debug_assert!(
-                Some(own) != vacated && Some(own) != joined,
-                "touched groups are stale"
-            );
-            if let Some(joined) = joined {
-                if dec == Some(joined) {
-                    // The cached best got worse; nothing cheaper than a
-                    // re-probe decides what replaces it.
-                    self.mark_stale(gid as u32);
-                    continue;
+        self.after_shift(vacated, joined);
+    }
+
+    /// A group on the coin mass just left earns more, and only `joined`
+    /// got worse. A cached stable decision stays stable; a cached best
+    /// `d ≠ joined` kept its key and is still the best target, so it
+    /// stays a move exactly while it beats the risen payoff (one key
+    /// comparison); only a best of `joined` needs a re-probe.
+    fn repair_vacated(&self, key: GroupKey, dec: Option<CoinId>, joined: Option<CoinId>) -> Repair {
+        match dec {
+            None => Repair::Keep,
+            Some(d) if Some(d) == joined => Repair::Reprobe,
+            Some(d) if self.rpu_key(key, d) > self.rpu_key(key, CoinId(key.0 as usize)) => {
+                Repair::Keep
+            }
+            Some(_) => Repair::Set(None),
+        }
+    }
+
+    /// A group on the coin mass just joined earns less, and only
+    /// `vacated` got better. A cached best kept (or, at `vacated`,
+    /// raised) its key and still beats the fallen payoff, so only
+    /// `vacated` can displace it (lower coin id on ties; two key
+    /// comparisons); a cached stable group — or one that was empty until
+    /// this arrival — needs a re-probe, since any coin may now beat its
+    /// payoff.
+    fn repair_joined(&self, key: GroupKey, dec: Option<CoinId>, vacated: Option<CoinId>) -> Repair {
+        let Some(d) = dec else {
+            return Repair::Reprobe;
+        };
+        match vacated {
+            Some(a) if a != d && self.may_join(key, a) => {
+                let (v, v_d) = (self.rpu_key(key, a), self.rpu_key(key, d));
+                if v > v_d || (v == v_d && a < d) {
+                    Repair::Set(Some(a))
+                } else {
+                    Repair::Keep
                 }
             }
-            let Some(vacated) = vacated else { continue };
-            if !self.tracker.is_coin_active(vacated) || !game.allowed(rep, vacated) {
-                continue;
+            _ => Repair::Keep,
+        }
+    }
+
+    /// The `O(1)` touch-up of a group on neither touched coin: `vacated`
+    /// lost mass (or newly launched), so it is the only coin that became
+    /// more attractive; `joined` got strictly worse, which only matters
+    /// where it was the cached best.
+    fn touch_up(
+        &self,
+        key: GroupKey,
+        dec: Option<CoinId>,
+        vacated: Option<CoinId>,
+        joined: Option<CoinId>,
+    ) -> Repair {
+        if joined.is_some() && dec == joined {
+            // The cached best got worse; nothing cheaper than a re-probe
+            // decides what replaces it.
+            return Repair::Reprobe;
+        }
+        let Some(vacated) = vacated else {
+            return Repair::Keep;
+        };
+        if !self.may_join(key, vacated) {
+            return Repair::Keep;
+        }
+        let v = self.rpu_key(key, vacated);
+        let displaced = match dec {
+            // Stable: only `vacated` can now beat the (unchanged) current
+            // payoff — and then it is the unique best.
+            None => v > self.rpu_key(key, CoinId(key.0 as usize)),
+            // The cached best only improved; still the unique max.
+            Some(b) if b == vacated => false,
+            // Unchanged best unless `vacated` now beats it (or ties with
+            // a smaller coin id).
+            Some(b) => {
+                let v_b = self.rpu_key(key, b);
+                v > v_b || (v == v_b && vacated < b)
             }
-            let v = self.tracker.rpu_key(rep, vacated, own);
-            match dec {
-                None => {
-                    // Stable: only `vacated` can now beat the (unchanged)
-                    // current payoff — and then it is the unique best.
-                    if v > self.tracker.rpu_key(rep, own, own) {
-                        self.set_decision(gid as u32, Some(vacated));
-                    }
-                }
-                Some(b) if b == vacated => {
-                    // The cached best only improved; still the unique max.
-                }
-                Some(b) => {
-                    // Unchanged best unless `vacated` now beats it (or
-                    // ties with a smaller coin id).
-                    let v_b = self.tracker.rpu_key(rep, b, own);
-                    if v > v_b || (v == v_b && vacated < b) {
-                        self.set_decision(gid as u32, Some(vacated));
-                    }
-                }
-            }
+        };
+        if displaced {
+            Repair::Set(Some(vacated))
+        } else {
+            Repair::Keep
         }
     }
 }

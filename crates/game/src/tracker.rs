@@ -403,6 +403,12 @@ impl GroupIndex {
         }
     }
 
+    /// Whether the members of the class keyed `key` may mine `c`
+    /// (restricted classes are singletons, keyed by member id + 1).
+    pub(crate) fn class_allows(game: &Game, (_, _, rkey): GroupKey, c: CoinId) -> bool {
+        rkey == 0 || game.allowed(MinerId(rkey as usize - 1), c)
+    }
+
     /// Number of classes ever minted (group ids are historical: emptied
     /// classes keep their id so the cursor and snapshots stay stable).
     pub(crate) fn group_count(&self) -> usize {
@@ -795,6 +801,11 @@ impl<'g> MassTracker<'g> {
     /// unreduced comparison key.
     pub(crate) fn rpu_key(&self, p: MinerId, c: CoinId, current: CoinId) -> RpuKey {
         RpuKey::after_join(self.game, p, c, current, &self.masses)
+    }
+
+    /// [`MassTracker::rpu_key`] for any miner of power `power`.
+    pub(crate) fn power_rpu_key(&self, power: u64, c: CoinId, current: CoinId) -> RpuKey {
+        RpuKey::for_power(self.game, power, c, current, &self.masses)
     }
 
     /// [`MassTracker::gain`] as an unreduced comparison key.

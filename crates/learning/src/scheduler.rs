@@ -17,10 +17,13 @@
 //!   for round-robin, and `O(unstable groups × coins)` for min-gain and
 //!   uniform-random. Each
 //!   move then costs the source's cache repair, whatever the scheduler:
-//!   one payoff comparison per cached group, plus an `O(coins)` re-probe
-//!   of each group on the two touched coins. Every such comparison is an
-//!   unreduced cross product, not a reduced [`Ratio`]. This is what
-//!   lifts every bundled scheduler to 250k-miner populations.
+//!   at most two payoff comparisons per cached group, plus an
+//!   `O(coins)` re-probe of each group whose decision the comparisons
+//!   cannot settle (its cached best was the joined coin, or it sat
+//!   stable on the joined coin). Every such comparison is an unreduced
+//!   cross product — two widening `u64` multiplies at population scale
+//!   — not a reduced [`Ratio`]. This is what lifts every bundled
+//!   scheduler to 250k-miner populations.
 //! * the **eager oracle** ([`Scheduler::pick_with`]) — the reference
 //!   semantics over the complete improving-move list. The property
 //!   suite (`tests/scheduler_equivalence.rs`) pins the incremental pick

@@ -3,7 +3,10 @@
 //! scheduler-free run and each of the six bundled schedulers, with and
 //! without a churn plan. The values were recorded before the two engine
 //! loops were merged into one; any change to pick order, churn
-//! interleaving or decision-cache work shows up here.
+//! interleaving or decision-cache work shows up here. Only the
+//! `cache_reprobes` column has been re-recorded since: it fell when the
+//! decision cache began repairing groups on a move's two coins in place
+//! instead of re-probing them all.
 //!
 //! A second table pins a 20 000-miner game from a seeded random start
 //! whose strategic classes hold hundreds of members each, so the group
@@ -88,18 +91,18 @@ fn run_on(
 const PINS: [(Option<SchedulerKind>, bool, Pin<&str>); 14] = [
     (None, false, (11, 0, 0, "121212121201000000000000")),
     (None, true, (12, 6, 0, "120202200220000000000000")),
-    (Some(SchedulerKind::RoundRobin), false, (11, 0, 71, "121212121201000000000000")),
-    (Some(SchedulerKind::RoundRobin), true, (9, 6, 92, "100202202200000000000000")),
-    (Some(SchedulerKind::UniformRandom), false, (13, 0, 96, "211111211020002000000000")),
-    (Some(SchedulerKind::UniformRandom), true, (12, 6, 92, "102200220200022000000000")),
-    (Some(SchedulerKind::MaxGain), false, (10, 0, 73, "122111022001100000000000")),
-    (Some(SchedulerKind::MaxGain), true, (9, 6, 78, "120202200000200000000000")),
-    (Some(SchedulerKind::MinGain), false, (31, 0, 227, "110120022011100100010001")),
-    (Some(SchedulerKind::MinGain), true, (12, 6, 92, "122200022000002000000000")),
-    (Some(SchedulerKind::LargestMinerFirst), false, (7, 0, 40, "100220001000100020001000")),
-    (Some(SchedulerKind::LargestMinerFirst), true, (9, 6, 69, "200020000000200020000000")),
-    (Some(SchedulerKind::SmallestMinerFirst), false, (23, 0, 141, "012201120122011200120012")),
-    (Some(SchedulerKind::SmallestMinerFirst), true, (12, 6, 81, "022202220000000000000020")),
+    (Some(SchedulerKind::RoundRobin), false, (11, 0, 63, "121212121201000000000000")),
+    (Some(SchedulerKind::RoundRobin), true, (9, 6, 90, "100202202200000000000000")),
+    (Some(SchedulerKind::UniformRandom), false, (13, 0, 61, "211111211020002000000000")),
+    (Some(SchedulerKind::UniformRandom), true, (12, 6, 81, "102200220200022000000000")),
+    (Some(SchedulerKind::MaxGain), false, (10, 0, 68, "122111022001100000000000")),
+    (Some(SchedulerKind::MaxGain), true, (9, 6, 74, "120202200000200000000000")),
+    (Some(SchedulerKind::MinGain), false, (31, 0, 110, "110120022011100100010001")),
+    (Some(SchedulerKind::MinGain), true, (12, 6, 57, "122200022000002000000000")),
+    (Some(SchedulerKind::LargestMinerFirst), false, (7, 0, 35, "100220001000100020001000")),
+    (Some(SchedulerKind::LargestMinerFirst), true, (9, 6, 66, "200020000000200020000000")),
+    (Some(SchedulerKind::SmallestMinerFirst), false, (23, 0, 106, "012201120122011200120012")),
+    (Some(SchedulerKind::SmallestMinerFirst), true, (12, 6, 68, "022202220000000000000020")),
 ];
 
 #[test]
@@ -169,8 +172,8 @@ fn fnv1a(config: &Configuration) -> u64 {
 const LARGE_PINS: [(Option<SchedulerKind>, bool, Pin<u64>); 4] = [
     (None, false, (6100, 0, 0, 12086306941733014207)),
     (None, true, (6282, 7, 0, 6417550950313868937)),
-    (Some(SchedulerKind::RoundRobin), false, (5657, 0, 121544, 14499006053869220954)),
-    (Some(SchedulerKind::RoundRobin), true, (6969, 7, 156881, 11860891777901768777)),
+    (Some(SchedulerKind::RoundRobin), false, (5657, 0, 115279, 14499006053869220954)),
+    (Some(SchedulerKind::RoundRobin), true, (6969, 7, 154285, 11860891777901768777)),
 ];
 
 #[test]

@@ -249,6 +249,7 @@ impl Server {
         let registry = &observe.registry;
         registry.counter("goc_server_sessions_total");
         registry.counter("goc_server_served_total");
+        registry.counter("goc_server_errors_total");
         registry.counter("goc_server_panics_total");
         registry.gauge("goc_server_inflight");
         Ok(Server {
@@ -592,7 +593,17 @@ fn handle_compute(
                 .inc();
             reply(conn, id, Response::Report(payload))
         }
-        Err(detail) => reply(conn, id, Response::Error { detail }),
+        Err(detail) => {
+            // Admitted but failed without a panic: counted apart from
+            // served and panicked, so every accepted request lands in
+            // exactly one terminal counter.
+            state
+                .observe
+                .registry
+                .counter("goc_server_errors_total")
+                .inc();
+            reply(conn, id, Response::Error { detail })
+        }
     }
 }
 

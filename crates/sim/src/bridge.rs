@@ -233,7 +233,27 @@ fn lower_timeline(
     deltas
 }
 
-/// Lowers a scenario (churn and all) to the game-side universe view.
+/// Lowers a scenario (churn and all) to the game-side universe view:
+/// [`churn_time_zero`] plus the lowered timeline ([`churn_timeline`]).
+///
+/// # Errors
+///
+/// Propagates [`ScenarioSpec::validate`] failures and quantization
+/// degeneracies.
+pub fn churn_universe(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniverse, SpecError> {
+    spec.validate()?;
+    let mut universe = time_zero(spec, resolution)?;
+    // Lower the (effectiveness-filtered) timeline to tracker deltas —
+    // the only seed-dependent piece of the universe.
+    let (initial_range, reserve_range) = universe_ranges(spec);
+    universe.deltas = lower_timeline(spec, &initial_range, &reserve_range);
+    Ok(universe)
+}
+
+/// The time-zero state of a scenario's churn universe — game, start
+/// and activity masks — with an empty `deltas` timeline. That state does
+/// not depend on the scenario seed, so a replica ensemble builds it once
+/// and lowers each replica's own timeline with [`churn_timeline`].
 ///
 /// Hashrates and fiat weights are quantized to integers with
 /// `resolution` relative precision, exactly like [`snapshot_game`]; the
@@ -244,8 +264,13 @@ fn lower_timeline(
 ///
 /// Propagates [`ScenarioSpec::validate`] failures and quantization
 /// degeneracies.
-pub fn churn_universe(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniverse, SpecError> {
+pub fn churn_time_zero(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniverse, SpecError> {
     spec.validate()?;
+    time_zero(spec, resolution)
+}
+
+/// [`churn_time_zero`] over a validated spec.
+fn time_zero(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniverse, SpecError> {
     // Initial rigs: the expanded per-rig population with its assignment.
     let expanded = spec.expanded();
     let mut rigs = expanded.miners.agents();
@@ -259,7 +284,7 @@ pub fn churn_universe(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUnive
         MinerSpec::Cohorts(c) => c.as_slice(),
         _ => &[],
     };
-    let (initial_range, reserve_range) = universe_ranges(spec);
+    let (_, reserve_range) = universe_ranges(spec);
     let churn_cohorts = spec
         .churn
         .as_ref()
@@ -319,16 +344,12 @@ pub fn churn_universe(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUnive
         None => vec![true; k],
     };
 
-    // Lower the (effectiveness-filtered) timeline to tracker deltas —
-    // the only seed-dependent piece of the universe.
-    let deltas = lower_timeline(spec, &initial_range, &reserve_range);
-
     Ok(ChurnUniverse {
         game,
         start,
         miner_active,
         coin_active,
-        deltas,
+        deltas: Vec::new(),
         initial_miners,
     })
 }
@@ -410,6 +431,20 @@ mod tests {
         assert_eq!(universe.miner_active, reuniverse.miner_active);
         assert_eq!(universe.coin_active, reuniverse.coin_active);
         assert_eq!(churn_timeline(&other).expect("lowers"), reuniverse.deltas);
+    }
+
+    #[test]
+    fn time_zero_is_the_universe_without_its_timeline() {
+        let spec = crate::fixtures::scale_churn_scenario(80, 30.0, 11, 20);
+        let universe = churn_universe(&spec, 1e-4).expect("universe builds");
+        let zero = churn_time_zero(&spec, 1e-4).expect("time zero builds");
+        assert!(!universe.deltas.is_empty());
+        assert!(zero.deltas.is_empty());
+        assert_eq!(zero.game, universe.game);
+        assert_eq!(zero.start, universe.start);
+        assert_eq!(zero.miner_active, universe.miner_active);
+        assert_eq!(zero.coin_active, universe.coin_active);
+        assert_eq!(zero.initial_miners, universe.initial_miners);
     }
 
     #[test]

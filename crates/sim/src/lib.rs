@@ -35,7 +35,8 @@ pub mod spec;
 
 pub use agent::{MinerAgent, OracleKind};
 pub use bridge::{
-    churn_timeline, churn_universe, coin_weights, snapshot_game, stride_deltas, ChurnUniverse,
+    churn_time_zero, churn_timeline, churn_universe, coin_weights, snapshot_game, stride_deltas,
+    ChurnUniverse,
 };
 pub use engine::{SimConfig, Simulation};
 pub use event::{Event, EventKind, EventQueue};
