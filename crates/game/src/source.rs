@@ -32,15 +32,19 @@
 //!   best, which queues a re-probe).
 //!
 //! Arrivals and departures are repaired the same way with one side
-//! absent. Coin launches and retirements keep the coarser repair: every
-//! group on a touched coin is re-probed.
+//! absent, and so is a coin launch: a fresh empty coin is exactly a
+//! vacated one. Every other change to the live coin set — a retirement,
+//! or undoing a launch or a retirement — queues every group for one
+//! re-probe. A sound in-place rule for a retirement's batch of forced
+//! relocations would have to weigh every group against every coin that
+//! rose, which is the same `O(groups × coins)` as that re-probe.
 //!
 //! Every payoff comparison here — the repair, the re-probe, the
 //! min-gain target and the gain ordering — is made on unreduced RPU and
-//! gain keys instead of a reduced [`Ratio`], whose construction runs up
-//! to three gcds: at population scale two widening `u64` products, with
-//! checked `u128` products and an exact `Ratio` fallback beyond (the
-//! crate-private `key` module). Coin, power and restriction come from
+//! gain keys instead of a reduced [`Ratio`](crate::Ratio), whose
+//! construction runs up to three gcds: at population scale two widening
+//! `u64` products, with checked `u128` products and an exact `Ratio`
+//! fallback beyond (the crate-private `key` module). Coin, power and restriction come from
 //! each group's class key, never from a member. The decisions are the
 //! ones the reduced comparisons would make, value for value.
 //!
@@ -87,7 +91,6 @@ use crate::error::GameError;
 use crate::game::{Game, Move};
 use crate::ids::{CoinId, MinerId};
 use crate::key::{GainKey, RpuKey};
-use crate::ratio::{Extended, Ratio};
 use crate::tracker::{GroupIndex, GroupKey, MassTracker};
 
 /// Which end of a gain or power ordering an extremal query selects.
@@ -216,17 +219,6 @@ impl<'g> MoveSource<'g> {
         self.tracker.is_better_response(p, to)
     }
 
-    /// The payoff gain of moving `p` to `to`, `O(1)`.
-    pub fn gain(&self, p: MinerId, to: CoinId) -> Ratio {
-        self.tracker.gain(p, to)
-    }
-
-    /// The sorted RPU list of Theorem 1's ordinal potential,
-    /// `O(coins log coins)`.
-    pub fn rpu_list(&self) -> Vec<(Extended, CoinId)> {
-        self.tracker.rpu_list()
-    }
-
     /// Materializes the full improving-move list (`O(groups × coins)`
     /// plus output size). Compatibility path for schedulers that have not
     /// adopted the incremental protocol; the bundled schedulers never
@@ -250,7 +242,12 @@ impl<'g> MoveSource<'g> {
     }
 
     fn mark_stale(&mut self, gid: u32) {
-        mark_stale_in(&mut self.cache, &mut self.dirty, &mut self.unstable, gid);
+        match std::mem::replace(&mut self.cache[gid as usize], Cached::Stale) {
+            Cached::Stale => return, // already queued
+            Cached::Decision(Some(_)) => self.unstable -= 1,
+            Cached::Decision(None) => {}
+        }
+        self.dirty.push_back(gid);
     }
 
     /// Re-probes group `gid` from scratch: `O(coins)`.
@@ -544,29 +541,20 @@ impl<'g> MoveSource<'g> {
     /// [`MassTracker::apply`]).
     pub fn apply(&mut self, p: MinerId, to: CoinId) -> Move {
         let mv = self.tracker.apply(p, to);
-        if mv.from != mv.to {
-            self.after_shift(Some(mv.from), Some(mv.to));
-        }
+        self.repair(&AppliedDelta::Move(mv), false);
         mv
     }
 
     /// Applies one churn [`Delta`] through the tracker (see
     /// [`MassTracker::apply_delta`]) and repairs the decision cache:
     ///
-    /// * **move**: the in-place repair of [`MoveSource::apply`];
-    /// * **insert/remove**: the same repair with one side absent — an
-    ///   insertion only made its coin *less* attractive (a stable group
-    ///   there is re-probed), a removal only made its coin *more*
-    ///   attractive (a cached best there stays while it beats the risen
-    ///   payoff);
-    /// * **launch**: the new coin is the only thing that became
-    ///   attractive, so the vacated-style `O(1)` touch-up suffices;
-    /// * **retire**: decisions pointing at the dead coin are invalidated,
-    ///   groups keyed to it are re-probed, and each forced relocation
-    ///   re-probes the groups on both of its coins, with the `O(1)`
-    ///   touch-up elsewhere (the relocations are repaired as one batch
-    ///   against the final state, which the in-place repair does not
-    ///   cover).
+    /// * **a single shift** — a move, an arrival, a departure, their
+    ///   undos, and a launch — is repaired in place as in
+    ///   [`MoveSource::apply`], with one side absent where mass only
+    ///   arrived or only left; a freshly launched coin is an empty coin
+    ///   that just became attractive, exactly a vacated one;
+    /// * **a change to the live coin set** — a retirement, or undoing a
+    ///   launch or a retirement — queues every group for one re-probe.
     ///
     /// # Errors
     ///
@@ -587,10 +575,7 @@ impl<'g> MoveSource<'g> {
     /// rewind through [`MoveSource::undo_delta`].
     pub fn undo(&mut self) -> Option<Move> {
         let mv = self.tracker.undo()?;
-        if mv.from != mv.to {
-            // In reverse, the mover vacates `to` and rejoins `from`.
-            self.after_shift(Some(mv.to), Some(mv.from));
-        }
+        self.repair(&AppliedDelta::Move(mv), true);
         Some(mv)
     }
 
@@ -606,62 +591,22 @@ impl<'g> MoveSource<'g> {
     /// or was undone (`reverse = true`). The tracker has already
     /// transitioned; repair reads its *current* state.
     fn repair(&mut self, applied: &AppliedDelta, reverse: bool) {
-        match applied {
-            AppliedDelta::Move(mv) => {
-                if mv.from != mv.to {
-                    if reverse {
-                        self.after_shift(Some(mv.to), Some(mv.from));
-                    } else {
-                        self.after_shift(Some(mv.from), Some(mv.to));
-                    }
-                }
+        let (vacated, joined) = match applied {
+            AppliedDelta::Move(mv) if mv.from == mv.to => return,
+            AppliedDelta::Move(mv) => (Some(mv.from), Some(mv.to)),
+            AppliedDelta::InsertMiner { coin, .. } => (None, Some(*coin)),
+            AppliedDelta::RemoveMiner { coin, .. } => (Some(*coin), None),
+            AppliedDelta::LaunchCoin { coin } if !reverse => (Some(*coin), None),
+            AppliedDelta::LaunchCoin { .. } | AppliedDelta::RetireCoin { .. } => {
+                return self.mark_all_stale();
             }
-            AppliedDelta::InsertMiner { coin, .. } => {
-                if reverse {
-                    // Undoing an insertion is a removal: `coin` lost mass.
-                    self.after_shift(Some(*coin), None);
-                } else {
-                    self.after_shift(None, Some(*coin));
-                }
-            }
-            AppliedDelta::RemoveMiner { coin, .. } => {
-                if reverse {
-                    self.after_shift(None, Some(*coin));
-                } else {
-                    self.after_shift(Some(*coin), None);
-                }
-            }
-            AppliedDelta::LaunchCoin { coin } => {
-                if reverse {
-                    // The coin vanished again: nothing elsewhere changed
-                    // mass, but any decision pointing at it is dead.
-                    self.invalidate_decisions_to(*coin);
-                    self.mark_coin_groups_stale(*coin);
-                } else {
-                    // A fresh empty coin is the only thing that became
-                    // attractive — exactly the vacated-coin touch-up.
-                    self.after_shift_coarse(Some(*coin), None);
-                }
-            }
-            AppliedDelta::RetireCoin { coin, relocations } => {
-                if reverse {
-                    // The coin is live again and every relocation was
-                    // walked back: repair each reversed move, then treat
-                    // the re-launched coin as newly attractive.
-                    for mv in relocations.iter().rev() {
-                        self.after_shift_coarse(Some(mv.to), Some(mv.from));
-                    }
-                    self.after_shift_coarse(Some(*coin), None);
-                } else {
-                    // Decisions pointing at the dead coin are invalid no
-                    // matter what the touch-up logic thinks of its mass.
-                    self.invalidate_decisions_to(*coin);
-                    for mv in relocations {
-                        self.after_shift_coarse(Some(mv.from), Some(mv.to));
-                    }
-                    self.mark_coin_groups_stale(*coin);
-                }
-            }
+        };
+        // Undone, the shift runs backwards: mass leaves the coin it
+        // joined and returns to the one it vacated.
+        if reverse {
+            self.after_shift(joined, vacated);
+        } else {
+            self.after_shift(vacated, joined);
         }
     }
 
@@ -686,34 +631,19 @@ impl<'g> MoveSource<'g> {
         }
     }
 
-    /// Queues a re-probe for every class keyed to `c`, walking the
-    /// tracker's key range in place (the borrows are split by field).
-    fn mark_coin_groups_stale(&mut self, c: CoinId) {
-        let MoveSource {
-            tracker,
-            cache,
-            dirty,
-            unstable,
-            ..
-        } = self;
-        for gid in tracker.gids_on(c) {
-            mark_stale_in(cache, dirty, unstable, gid);
-        }
-    }
-
-    /// Queues a re-probe for every group whose cached best response is
-    /// `c` (used when `c` stops being a legal target).
-    fn invalidate_decisions_to(&mut self, c: CoinId) {
+    /// Queues every group for a re-probe: the repair of a change to
+    /// the live coin set. A retirement's relocations can mint groups, so
+    /// the cache grows first.
+    fn mark_all_stale(&mut self) {
+        self.grow_cache();
         for gid in 0..self.cache.len() as u32 {
-            if self.cache[gid as usize] == Cached::Decision(Some(c)) {
-                self.mark_stale(gid);
-            }
+            self.mark_stale(gid);
         }
     }
 
     /// Cache repair after one shift of mass off `vacated` and/or onto
-    /// `joined` — a move, an arrival or a departure (either side may be
-    /// absent): one pass over the groups, each repaired by
+    /// `joined` — a move, an arrival, a departure or a launch (either
+    /// side may be absent): one pass over the groups, each repaired by
     /// [`MoveSource::repair_vacated`], [`MoveSource::repair_joined`] or
     /// [`MoveSource::touch_up`] by the coin it is on. An emptied group
     /// drops to stable without a probe.
@@ -742,18 +672,6 @@ impl<'g> MoveSource<'g> {
                 Repair::Reprobe => self.mark_stale(gid),
             }
         }
-    }
-
-    /// [`MoveSource::after_shift`] for the retire and launch paths,
-    /// whose shifts arrive in batches or change which coins are live:
-    /// every group on a touched coin is queued for a full re-probe
-    /// first, so the pass only touches up the others.
-    fn after_shift_coarse(&mut self, vacated: Option<CoinId>, joined: Option<CoinId>) {
-        self.grow_cache();
-        for c in [vacated, joined].into_iter().flatten() {
-            self.mark_coin_groups_stale(c);
-        }
-        self.after_shift(vacated, joined);
     }
 
     /// A group on the coin mass just left earns more, and only `joined`
@@ -840,26 +758,10 @@ impl<'g> MoveSource<'g> {
     }
 }
 
-/// [`MoveSource::mark_stale`] over the fields it touches, so callers
-/// that hold a borrow of the tracker can still queue re-probes.
-fn mark_stale_in(
-    cache: &mut [Cached],
-    dirty: &mut VecDeque<u32>, // allow-collection: the dirty-group queue
-    unstable: &mut usize,
-    gid: u32,
-) {
-    let old = std::mem::replace(&mut cache[gid as usize], Cached::Stale);
-    match old {
-        Cached::Stale => return, // already queued
-        Cached::Decision(Some(_)) => *unstable -= 1,
-        Cached::Decision(None) => {}
-    }
-    dirty.push_back(gid);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ratio::Ratio;
 
     fn cfg(game: &Game, coins: &[usize]) -> Configuration {
         Configuration::new(coins.iter().map(|&c| CoinId(c)).collect(), game.system()).unwrap()

@@ -835,11 +835,6 @@ impl<'g> MassTracker<'g> {
         best.map(|(_, c)| c)
     }
 
-    /// Whether `p` has no better response, `O(coins)`.
-    pub fn is_miner_stable(&self, p: MinerId) -> bool {
-        self.best_response(p).is_none()
-    }
-
     /// The sorted `⟨RPU_c(s), c⟩` list of Theorem 1's ordinal potential
     /// over the **live** coins, `O(coins log coins)` — no population
     /// rescan.
@@ -1069,11 +1064,6 @@ impl<'g> MassTracker<'g> {
     /// `(key, gid)` pairs in canonical class order (coin, power, rkey).
     pub(crate) fn classes(&self) -> impl Iterator<Item = (GroupKey, u32)> + '_ {
         self.groups.classes()
-    }
-
-    /// Group ids keyed to coin `c` (see [`GroupIndex::groups_on`]).
-    pub(crate) fn gids_on(&self, c: CoinId) -> impl Iterator<Item = u32> + '_ {
-        self.groups.groups_on(c)
     }
 
     // ------------------------------------------------------------------

@@ -173,7 +173,7 @@ const LARGE_PINS: [(Option<SchedulerKind>, bool, Pin<u64>); 4] = [
     (None, false, (6100, 0, 0, 12086306941733014207)),
     (None, true, (6282, 7, 0, 6417550950313868937)),
     (Some(SchedulerKind::RoundRobin), false, (5657, 0, 115279, 14499006053869220954)),
-    (Some(SchedulerKind::RoundRobin), true, (6969, 7, 154285, 11860891777901768777)),
+    (Some(SchedulerKind::RoundRobin), true, (6969, 7, 154277, 11860891777901768777)),
 ];
 
 #[test]

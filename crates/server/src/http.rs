@@ -283,6 +283,84 @@ mod tests {
         }
     }
 
+    /// A seeded garbage request head: fragments of real heads (methods,
+    /// paths, versions, line ends) interleaved with random bytes, up to
+    /// ~1.5 KiB, all within [`MAX_HEAD_BYTES`].
+    fn garbage_head(seed: u64) -> Vec<u8> {
+        const FRAGMENTS: [&[u8]; 10] = [
+            b"GET ",
+            b"POST ",
+            b"/healthz",
+            b"/metrics?",
+            b"/trace",
+            b" HTTP/1.1",
+            b"\r\n",
+            b"\n",
+            b"\r\n\r\n",
+            b" ",
+        ];
+        // SplitMix64: the fuzzer's only randomness, fixed by `seed`.
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let pieces = next() % 48;
+        let mut head = Vec::new();
+        for _ in 0..pieces {
+            let draw = next();
+            if draw % 3 == 0 {
+                head.extend_from_slice(FRAGMENTS[(draw >> 8) as usize % FRAGMENTS.len()]);
+            } else {
+                let len = (draw >> 8) % 32;
+                head.extend((0..len).map(|_| next() as u8));
+            }
+        }
+        head
+    }
+
+    #[test]
+    fn garbage_heads_get_a_status_line_or_nothing_and_leave_the_endpoint_up() {
+        let (addr, _registry, _tracer) = boot(TraceRecorder::new(64));
+        let bound = SCRAPE_TIMEOUT + Duration::from_secs(1);
+        for seed in 0..64 {
+            let head = garbage_head(seed);
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(bound)).unwrap();
+            let clock = Instant::now();
+            stream.write_all(&head).unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            // Read to EOF; a reset after the reply (the exporter closing
+            // on head bytes it never read) ends the reply too.
+            let mut reply = Vec::new();
+            let mut chunk = [0u8; 4096];
+            loop {
+                match stream.read(&mut chunk) {
+                    Ok(0) => break,
+                    Ok(n) => reply.extend_from_slice(&chunk[..n]),
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionReset => break,
+                    Err(e) => panic!("seed {seed}: no reply within {bound:?}: {e}"),
+                }
+            }
+            assert!(
+                clock.elapsed() < bound,
+                "seed {seed}: reply took {:?}",
+                clock.elapsed()
+            );
+            assert!(
+                reply.is_empty() || reply.starts_with(b"HTTP/1.1 "),
+                "seed {seed}: head {:?} got {:?}",
+                String::from_utf8_lossy(&head),
+                String::from_utf8_lossy(&reply)
+            );
+        }
+        let health = get(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
+    }
+
     #[test]
     fn a_trace_scraper_that_never_reads_cannot_wedge_the_endpoint() {
         // A ring whose Chrome dump (~29 MB) dwarfs the loopback socket
