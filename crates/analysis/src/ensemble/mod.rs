@@ -366,10 +366,10 @@ fn churn_scenario(spec: &EnsembleSpec, churn: &ChurnSpec, seed: u64) -> Scenario
 }
 
 /// Runs one replica. `shared` short-circuits per-replica setup with the
-/// ensemble's shared universe [`Snapshot`] — churn-free scheduler-free
-/// replicas fork the shared universe at their own random start
-/// ([`Snapshot::fork_at`]), churny replicas (under any scheduler) fork
-/// the time-zero tracker exactly and replay only their own timeline. The
+/// ensemble's shared universe [`Snapshot`] — under any scheduler,
+/// churn-free replicas fork the shared universe at their own random
+/// start ([`Snapshot::fork_at`]) and churny replicas fork the time-zero
+/// tracker exactly and replay only their own timeline. The
 /// result is identical either way: a fork reproduces precisely the
 /// state a from-scratch rebuild constructs (the determinism proptests
 /// replay `None` against `Some` to pin this). `observed` carries the
@@ -403,13 +403,13 @@ fn replica_with(
             };
             let mut rng = SmallRng::seed_from_u64(seed);
             random_start = random_config(&mut rng, game.system());
-            match (spec.scheduler, shared) {
-                (None, Some(snapshot)) => {
+            match shared {
+                Some(snapshot) => {
                     let _fork = lane.map(|l| l.span(TraceEventKind::SnapshotFork, index as u64));
                     let forked = snapshot.fork_at(&random_start);
                     tracker = Some(forked.map_err(|e| fail(e.to_string()))?);
                 }
-                _ => start = Some(&random_start),
+                None => start = Some(&random_start),
             }
             game
         }
@@ -578,9 +578,9 @@ fn shared_snapshot(
 fn build_universe(spec: &EnsembleSpec) -> Result<Snapshot, String> {
     match &spec.churn {
         None => {
-            // The snapshot's own configuration is immaterial here:
-            // churn-free replicas fork *at* their private random start
-            // (`Snapshot::fork_at`), scheduled ones only borrow the game.
+            // The snapshot's own configuration is immaterial here: every
+            // churn-free replica, scheduled or not, forks *at* its private
+            // random start (`Snapshot::fork_at`).
             let game = scale_class_game(spec.miners);
             let start =
                 Configuration::uniform(CoinId(0), game.system()).map_err(|e| e.to_string())?;

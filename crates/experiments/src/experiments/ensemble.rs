@@ -258,8 +258,8 @@ impl Experiment for Ensemble {
                 "aggregate_is_thread_invariant",
                 identical,
                 format!(
-                    "threads {counts:?}: {distinct} distinct equilibria, byte-identical \
-                     deterministic report"
+                    "{distinct} distinct equilibria, byte-identical deterministic report at \
+                     1 and 2 worker threads and at the run's own thread count"
                 ),
             );
         }

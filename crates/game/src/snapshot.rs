@@ -3,10 +3,10 @@
 //! Everything else in the workspace serializes through JSON, which is
 //! fine for reports and wire envelopes but hopeless as a forking
 //! primitive: rebuilding a 100k-miner [`MassTracker`] from a JSON
-//! `Game` + `Configuration` costs a full `O(miners · log miners)`
-//! group-index construction per Monte-Carlo replica. A [`Snapshot`] is
-//! the binary counterpart — a self-contained, versioned, checksummed
-//! encoding of a tracker's observable state:
+//! `Game` + `Configuration` parses the whole population again for
+//! every Monte-Carlo replica. A [`Snapshot`] is the binary counterpart
+//! — a self-contained, versioned, checksummed encoding of a tracker's
+//! observable state:
 //!
 //! * the [`Game`] (system powers and names, exact rational rewards,
 //!   optional restriction matrix),
@@ -20,6 +20,11 @@
 //!
 //! The undo stack is deliberately **not** captured: a fork starts a new
 //! history (`depth() == 0`, undo recording on).
+//!
+//! A snapshot builds trackers the way [`MassTracker::new`] does, through
+//! the tracker's one bulk loader: [`Snapshot::fork_at`] is a fresh build
+//! at a new start, while [`Snapshot::fork`], [`Snapshot::fork_into`] and
+//! decoding restore the captured class table and cursor.
 //!
 //! # Wire format (version 1)
 //!
@@ -36,9 +41,11 @@
 //! is a named [`SnapshotError`], corruption is caught by the checksum
 //! (any single bit flip changes the FNV-1a digest), truncation by
 //! bounds-checked reads, and the decoded state is semantically
-//! re-validated (masses recomputed from the configuration and activity
-//! masks, group keys checked against the active population) before a
-//! [`Snapshot`] is handed back.
+//! re-validated by restoring a tracker from it (masses recomputed from
+//! the configuration and activity masks, the class table checked for
+//! out-of-range coins and cursors, stray restriction keys, duplicates,
+//! and active miners it does not cover) before a [`Snapshot`] is handed
+//! back.
 //!
 //! # Examples
 //!
@@ -57,16 +64,15 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::config::{Configuration, Masses};
 use crate::error::GameError;
 use crate::game::{Game, Rewards};
-use crate::ids::{CoinId, MinerId};
+use crate::ids::CoinId;
 use crate::ratio::Ratio;
 use crate::system::SystemBuilder;
-use crate::tracker::{GroupIndex, GroupKey, MassTracker};
+use crate::tracker::{GroupKey, MassTracker};
 
 /// The 4-byte snapshot magic (`"GOCS"`).
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GOCS";
@@ -330,7 +336,7 @@ impl Snapshot {
             masses: tracker.masses().clone(),
             miner_active: tracker.miner_activity().to_vec(),
             coin_active: tracker.coin_activity().to_vec(),
-            keys: index.class_keys(),
+            keys: index.class_keys().to_vec(),
             cursor: index.cursor,
         }
     }
@@ -438,108 +444,34 @@ impl Snapshot {
         if *game != self.game {
             return Err(SnapshotError::GameMismatch);
         }
-        let groups = self.assemble_groups(game)?;
-        Ok(MassTracker::from_parts(
+        MassTracker::load(
             game,
             self.config.clone(),
-            self.masses.clone(),
-            groups,
             self.miner_active.clone(),
             self.coin_active.clone(),
-        ))
+            Some((&self.keys, self.cursor)),
+        )
     }
 
     /// Spawns a tracker over the snapshot's game and activity masks but
     /// at a **different** starting configuration — the ensemble's
     /// population fork: one snapshot carries the expensive shared state
     /// (game, masks), each replica supplies its own random start. The
-    /// group index is built fresh (first-encounter id order, cursor 0),
-    /// exactly as [`MassTracker::with_activity`] would, but via a bulk
-    /// sorted load instead of per-miner tree inserts — same state,
-    /// roughly a third of the cost at 100k miners.
+    /// group index is built fresh (first-encounter id order, cursor 0):
+    /// this is exactly [`MassTracker::with_activity`] over the
+    /// snapshot's game and masks.
     ///
     /// # Errors
     ///
     /// * [`SnapshotError::Game`] wrapping the shape/activity errors of
     ///   [`MassTracker::with_activity`].
     pub fn fork_at(&self, start: &Configuration) -> Result<MassTracker<'_>, SnapshotError> {
-        let game = &self.game;
-        let system = game.system();
-        let config = Configuration::new(start.as_slice().to_vec(), system)?;
-        let mut masses = Masses::zero(system.num_coins());
-        let mut by_key: BTreeMap<GroupKey, u32> = BTreeMap::new();
-        let mut keys: Vec<GroupKey> = Vec::new();
-        let mut members: Vec<Vec<MinerId>> = Vec::new();
-        let mut of = vec![0u32; system.num_miners()];
-        for p in system.miner_ids() {
-            if !self.miner_active[p.index()] {
-                continue;
-            }
-            let coin = config.coin_of(p);
-            if !self.coin_active[coin.index()] {
-                return Err(SnapshotError::Game(GameError::CoinInactive { coin }));
-            }
-            masses.add(coin, system.power_of(p));
-            let key = (
-                coin.index() as u32,
-                system.power_of(p),
-                GroupIndex::rkey(game, p),
-            );
-            let next = members.len() as u32;
-            let gid = *by_key.entry(key).or_insert(next);
-            if gid == next {
-                keys.push(key);
-                members.push(Vec::new());
-            }
-            of[p.index()] = gid;
-            members[gid as usize].push(p);
-        }
-        let groups = GroupIndex::from_sorted_parts(of, &keys, members, 0);
-        Ok(MassTracker::from_parts(
-            game,
-            config,
-            masses,
-            groups,
-            self.miner_active.clone(),
-            self.coin_active.clone(),
-        ))
-    }
-
-    /// Rebuilds the group index in the captured historical id order:
-    /// members are exactly the active miners whose current class key
-    /// maps to each id (the tracker's own invariant), loaded in one
-    /// ascending pass.
-    fn assemble_groups(&self, game: &Game) -> Result<GroupIndex, SnapshotError> {
-        let system = game.system();
-        let by_key: BTreeMap<GroupKey, u32> = self
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(gid, &key)| (key, gid as u32))
-            .collect();
-        let mut members: Vec<Vec<MinerId>> = vec![Vec::new(); self.keys.len()];
-        let mut of = vec![0u32; system.num_miners()];
-        for p in system.miner_ids() {
-            if !self.miner_active[p.index()] {
-                continue;
-            }
-            let key = (
-                self.config.coin_of(p).index() as u32,
-                system.power_of(p),
-                GroupIndex::rkey(game, p),
-            );
-            let gid = *by_key.get(&key).ok_or_else(|| SnapshotError::Corrupted {
-                reason: format!("active miner {p} has no group key"),
-            })?;
-            of[p.index()] = gid;
-            members[gid as usize].push(p);
-        }
-        Ok(GroupIndex::from_sorted_parts(
-            of,
-            &self.keys,
-            members,
-            self.cursor,
-        ))
+        Ok(MassTracker::with_activity(
+            &self.game,
+            start,
+            &self.miner_active,
+            &self.coin_active,
+        )?)
     }
 }
 
@@ -684,58 +616,19 @@ impl TryFrom<&[u8]> for Snapshot {
         }
 
         // --- Semantic validation ------------------------------------
-        // Masses are recomputed (not trusted from the wire), mirroring
-        // `MassTracker::with_activity`'s checks.
-        let mut masses = Masses::zero(k);
-        for p in game.system().miner_ids() {
-            if miner_active[p.index()] {
-                let coin = config.coin_of(p);
-                if !coin_active[coin.index()] {
-                    return Err(SnapshotError::Game(GameError::CoinInactive { coin }));
-                }
-                masses.add(coin, game.system().power_of(p));
-            }
-        }
-        let mut by_key: BTreeMap<GroupKey, u32> = BTreeMap::new();
-        for (gid, &key) in keys.iter().enumerate() {
-            let (coin, _, rkey) = key;
-            if coin as usize >= k {
-                return Err(SnapshotError::Corrupted {
-                    reason: format!("group {gid} keys coin {coin} outside the universe"),
-                });
-            }
-            if !game.is_restricted() && rkey != 0 {
-                return Err(SnapshotError::Corrupted {
-                    reason: format!(
-                        "group {gid} carries restriction key {rkey} in an unrestricted game"
-                    ),
-                });
-            }
-            if by_key.insert(key, gid as u32).is_some() {
-                return Err(SnapshotError::Corrupted {
-                    reason: format!("duplicate group key {key:?}"),
-                });
-            }
-        }
-        for p in game.system().miner_ids() {
-            if miner_active[p.index()] {
-                let key = (
-                    config.coin_of(p).index() as u32,
-                    game.system().power_of(p),
-                    GroupIndex::rkey(&game, p),
-                );
-                if !by_key.contains_key(&key) {
-                    return Err(SnapshotError::Corrupted {
-                        reason: format!("active miner {p} has no group key"),
-                    });
-                }
-            }
-        }
-        if cursor != 0 && cursor >= keys.len() {
-            return Err(SnapshotError::Corrupted {
-                reason: format!("cursor {cursor} out of range for {} groups", keys.len()),
-            });
-        }
+        // Restoring a tracker re-checks everything the wire cannot be
+        // trusted with: masses are recomputed from the configuration and
+        // activity masks, and the class table is checked against the
+        // active population.
+        let masses = MassTracker::load(
+            &game,
+            config.clone(),
+            miner_active.clone(),
+            coin_active.clone(),
+            Some((&keys, cursor)),
+        )?
+        .masses()
+        .clone();
 
         Ok(Snapshot {
             game,
@@ -753,6 +646,7 @@ impl TryFrom<&[u8]> for Snapshot {
 mod tests {
     use super::*;
     use crate::delta::Delta;
+    use crate::ids::MinerId;
 
     fn tracker_fixture(game: &Game) -> MassTracker<'_> {
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
@@ -922,6 +816,105 @@ mod tests {
             Snapshot::try_from(&[] as &[u8]),
             Err(SnapshotError::Truncated { .. })
         ));
+    }
+
+    /// A converged 6-miner fixture, its encoding and its class count.
+    fn class_table_fixture() -> (Vec<u8>, usize) {
+        let game = Game::build(&[8, 5, 3, 2, 1, 1], &[7, 4, 2]).unwrap();
+        let tracker = tracker_fixture(&game);
+        (Snapshot::of(&tracker).encode(), tracker.group_count())
+    }
+
+    /// Re-encodes `bytes` (a frame of `groups` classes) with its class
+    /// table and cursor edited, re-sealing the payload length and the
+    /// FNV-1a trailer so only semantic validation can object.
+    fn with_class_table(
+        bytes: &[u8],
+        groups: usize,
+        edit: impl FnOnce(&mut Vec<GroupKey>, &mut u64),
+    ) -> Vec<u8> {
+        let body_end = bytes.len() - 8;
+        let table_at = body_end - 8 - 16 * groups - 8;
+        let mut r = Reader {
+            buf: &bytes[..body_end],
+            pos: table_at,
+        };
+        assert_eq!(r.u64().unwrap(), groups as u64);
+        let mut keys: Vec<GroupKey> = (0..groups)
+            .map(|_| (r.u32().unwrap(), r.u64().unwrap(), r.u32().unwrap()))
+            .collect();
+        let mut cursor = r.u64().unwrap();
+        edit(&mut keys, &mut cursor);
+        let mut out = bytes[..table_at].to_vec();
+        put_u64(&mut out, keys.len() as u64);
+        for &(coin, power, rkey) in &keys {
+            put_u32(&mut out, coin);
+            put_u64(&mut out, power);
+            put_u32(&mut out, rkey);
+        }
+        put_u64(&mut out, cursor);
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        out[6..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let digest = fnv1a(&out);
+        put_u64(&mut out, digest);
+        out
+    }
+
+    /// The reason of the `Corrupted` error `bytes` must decode to.
+    fn corrupted_reason(bytes: &[u8]) -> String {
+        match Snapshot::try_from(bytes) {
+            Err(SnapshotError::Corrupted { reason }) => reason,
+            other => panic!("expected a Corrupted error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_unedited_class_table_reseals_byte_identically() {
+        let (bytes, groups) = class_table_fixture();
+        assert_eq!(with_class_table(&bytes, groups, |_, _| {}), bytes);
+    }
+
+    #[test]
+    fn decode_rejects_a_duplicate_class_key() {
+        let (bytes, groups) = class_table_fixture();
+        let bad = with_class_table(&bytes, groups, |keys, _| keys.push(keys[0]));
+        assert!(corrupted_reason(&bad).contains("duplicate group key"));
+    }
+
+    #[test]
+    fn decode_rejects_an_active_miner_without_a_class_key() {
+        let (bytes, groups) = class_table_fixture();
+        // Re-power every class on coin 0: its members keep their keys'
+        // coin but no longer match any class.
+        let bad = with_class_table(&bytes, groups, |keys, _| {
+            for key in keys.iter_mut().filter(|key| key.0 == 0) {
+                key.1 += 1000;
+            }
+        });
+        assert!(corrupted_reason(&bad).contains("has no group key"));
+    }
+
+    #[test]
+    fn decode_rejects_a_class_key_coin_outside_the_universe() {
+        let (bytes, groups) = class_table_fixture();
+        let bad = with_class_table(&bytes, groups, |keys, _| keys.push((3, 1, 0)));
+        assert!(corrupted_reason(&bad).contains("keys coin 3 outside the universe"));
+    }
+
+    #[test]
+    fn decode_rejects_a_restriction_key_in_an_unrestricted_game() {
+        let (bytes, groups) = class_table_fixture();
+        let bad = with_class_table(&bytes, groups, |keys, _| keys.push((0, 1, 5)));
+        assert!(corrupted_reason(&bad).contains("restriction key 5 in an unrestricted game"));
+    }
+
+    #[test]
+    fn decode_rejects_a_cursor_out_of_range() {
+        let (bytes, groups) = class_table_fixture();
+        let bad = with_class_table(&bytes, groups, |keys, cursor| {
+            *cursor = keys.len() as u64;
+        });
+        assert!(corrupted_reason(&bad).contains("out of range"));
     }
 
     #[test]

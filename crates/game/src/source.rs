@@ -128,11 +128,9 @@ enum Repair {
 pub struct MoveSource<'g> {
     tracker: MassTracker<'g>,
     /// Per-group cached decision, parallel to the tracker's group list.
+    /// Every probe reads its class's coin, power and restriction from
+    /// the tracker's class key, not from a member.
     cache: Vec<Cached>,
-    /// Per-group class key `(coin, power, restriction)`, parallel to
-    /// `cache`: every probe reads coin, power and restriction from here,
-    /// not from a member.
-    keys: Vec<GroupKey>,
     /// Groups whose cache entry is [`Cached::Stale`], pending re-probe.
     dirty: VecDeque<u32>, // allow-collection: FIFO re-probe order, ids only
     /// Number of groups currently cached as unstable.
@@ -149,9 +147,9 @@ pub struct MoveSource<'g> {
 }
 
 impl<'g> MoveSource<'g> {
-    /// Builds a source over `start` in `game`. Costs `O(miners log miners)`
-    /// (tracker construction); all decisions start dirty and are probed
-    /// lazily.
+    /// Builds a source over `start` in `game`. Costs what
+    /// [`MassTracker::new`] costs; all decisions start dirty and are
+    /// probed lazily.
     ///
     /// # Errors
     ///
@@ -163,11 +161,9 @@ impl<'g> MoveSource<'g> {
     /// Wraps an existing tracker.
     pub fn over(tracker: MassTracker<'g>) -> Self {
         let groups = tracker.group_count();
-        let keys = tracker.group_index().class_keys();
         MoveSource {
             tracker,
             cache: vec![Cached::Stale; groups],
-            keys,
             dirty: (0..groups as u32).collect(),
             unstable: 0,
             reprobes: 0,
@@ -256,7 +252,7 @@ impl<'g> MoveSource<'g> {
         let dec = if self.tracker.member_count(gid) == 0 {
             None
         } else {
-            self.extremal_target(self.keys[gid as usize], Extremum::Max)
+            self.extremal_target(self.tracker.class_key(gid), Extremum::Max)
         };
         self.set_decision(gid, dec);
     }
@@ -415,7 +411,7 @@ impl<'g> MoveSource<'g> {
                 Extremum::Max => br,
                 // The min-gain target needs its own O(coins) scan.
                 Extremum::Min => self
-                    .extremal_target(self.keys[gid as usize], Extremum::Min)
+                    .extremal_target(self.tracker.class_key(gid), Extremum::Min)
                     .expect("unstable groups have an improving target"),
             };
             let gain = self.tracker.gain_key(rep, to);
@@ -507,7 +503,7 @@ impl<'g> MoveSource<'g> {
                     hit
                 })
                 .expect("r < total by construction");
-            let key = self.keys[gid as usize];
+            let key = self.tracker.class_key(gid);
             let to = self
                 .improving_targets(key)
                 .nth(r % targets)
@@ -613,18 +609,6 @@ impl<'g> MoveSource<'g> {
     /// Grows the cache to cover groups minted by the latest transition
     /// (born dirty).
     fn grow_cache(&mut self) {
-        let known = self.cache.len();
-        if known == self.tracker.group_count() {
-            return;
-        }
-        // Minting is rare (bounded by the distinct keys ever seen), so
-        // one scan of the class list for the new keys stays cold.
-        self.keys.resize(self.tracker.group_count(), (0, 0, 0));
-        for (key, gid) in self.tracker.classes() {
-            if gid as usize >= known {
-                self.keys[gid as usize] = key;
-            }
-        }
         while self.cache.len() < self.tracker.group_count() {
             self.cache.push(Cached::Stale);
             self.dirty.push_back(self.cache.len() as u32 - 1);
@@ -655,7 +639,7 @@ impl<'g> MoveSource<'g> {
             let Cached::Decision(dec) = self.cache[gid as usize] else {
                 continue;
             };
-            let key = self.keys[gid as usize];
+            let key = self.tracker.class_key(gid);
             let own = Some(CoinId(key.0 as usize));
             let repair = if self.tracker.member_count(gid) == 0 {
                 Repair::Set(None)

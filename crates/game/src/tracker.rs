@@ -53,6 +53,17 @@
 //! classes shifted 3 258 ids (26 KB) per insert, 200 000 miners 6 504.
 //! With runs, no per-step term grows with the class.
 //!
+//! Every tracker comes out of one bulk loader, whether built by
+//! [`MassTracker::new`] / [`MassTracker::with_activity`] or forked and
+//! decoded by [`crate::snapshot`]: a walk over the active miners in id
+//! order that sums the masses and appends each miner to its class's
+//! last run — members arrive ascending, so no run is searched or
+//! shifted. A fresh build numbers classes by first encounter; a restore
+//! adopts a captured class table and cursor. Keys resolve against the
+//! one sorted key list behind a small flat memo, so a build costs
+//! `O(miners · log classes)` on any game, a restricted game's class per
+//! miner included.
+//!
 //! The layout is deliberately *not* part of the API: accessors expose
 //! iterators ([`MassTracker::members_of`]), `Option<MinerId>`
 //! ([`MassTracker::min_member`], [`MassTracker::successor_member`]) and
@@ -105,6 +116,7 @@ use crate::game::{Game, Move, Rewards};
 use crate::ids::{CoinId, MinerId};
 use crate::key::{GainKey, RpuKey};
 use crate::ratio::{Extended, Ratio};
+use crate::snapshot::SnapshotError;
 use crate::system::System;
 
 /// Longest run of one class's member storage, in ids (physical length,
@@ -172,22 +184,6 @@ struct MemberSlab {
 }
 
 impl MemberSlab {
-    /// Bulk-loads ascending ids as full runs.
-    fn from_sorted(ids: &[MinerId]) -> MemberSlab {
-        debug_assert!(ids.is_sorted(), "bulk-loaded members must be ascending");
-        let runs = ids
-            .chunks(RUN)
-            .map(|chunk| Run {
-                ids: chunk.iter().map(|&p| id32(p)).collect(),
-                head: 0,
-            })
-            .collect();
-        MemberSlab {
-            runs,
-            len: ids.len(),
-        }
-    }
-
     /// The live members, ascending by id.
     fn live(&self) -> impl Iterator<Item = MinerId> + '_ {
         self.runs
@@ -210,24 +206,34 @@ impl MemberSlab {
         self.runs.partition_point(|run| run.last() < p)
     }
 
+    /// Appends `p`, which is above every member: `O(1)`. Every member
+    /// the bulk loader places arrives this way, in id order.
+    fn push(&mut self, p: u32) {
+        debug_assert!(
+            self.runs.last().is_none_or(|run| run.last() < p),
+            "{p} is not above every member"
+        );
+        self.len += 1;
+        match self.runs.last_mut() {
+            Some(run) if run.ids.len() < RUN => run.ids.push(p),
+            _ => self.runs.push(Run {
+                ids: vec![p],
+                head: 0,
+            }),
+        }
+    }
+
     /// Inserts `p` (not already a member), keeping every run sorted.
     /// `O(1)` for a push above the maximum or into a run's front slack —
     /// the two patterns the dynamics produce — and otherwise a binary
     /// search over the runs plus a memmove of at most [`RUN`] ids.
     fn insert(&mut self, p: MinerId) {
         let p = id32(p);
-        self.len += 1;
         let mut i = self.run_for(p);
         if i == self.runs.len() {
-            match self.runs.last_mut() {
-                Some(run) if run.ids.len() < RUN => run.ids.push(p),
-                _ => self.runs.push(Run {
-                    ids: vec![p],
-                    head: 0,
-                }),
-            }
-            return;
+            return self.push(p);
         }
+        self.len += 1;
         let run = &mut self.runs[i];
         if p < run.first() && run.head > 0 {
             run.head -= 1;
@@ -284,8 +290,8 @@ impl MemberSlab {
     }
 }
 
-/// A miner id as the group index stores it. Lossless: both index
-/// constructors assert the universe fits ([`assert_u32_ids`]).
+/// A miner id as the group index stores it. Lossless: the bulk loader
+/// asserts the universe fits ([`assert_u32_ids`]).
 fn id32(p: MinerId) -> u32 {
     debug_assert!(u32::try_from(p.index()).is_ok(), "{p} exceeds u32 ids");
     p.index() as u32
@@ -307,17 +313,79 @@ fn assert_u32_ids(n: usize) {
 /// flat move list.
 pub(crate) type GroupKey = (u32, u64, u32);
 
+/// The class key of miner `p` on `coin`: the one place a key is
+/// computed, shared by the bulk loader and the runtime insert.
+fn key_of(game: &Game, p: MinerId, coin: CoinId) -> GroupKey {
+    let rkey = if game.is_restricted() { id32(p) + 1 } else { 0 };
+    (coin.index() as u32, game.system().power_of(p), rkey)
+}
+
+/// A class key as one `u128` in the same order (coin, then power, then
+/// restriction), so searches and sorts compare without branching.
+fn packed((coin, power, rkey): GroupKey) -> u128 {
+    (u128::from(coin) << 96) | (u128::from(power) << 32) | u128::from(rkey)
+}
+
+/// A flat, direct-mapped memo of the bulk loader's class lookups: the
+/// last `(key, gid)` seen in each slot, the slot chosen by a hash of the
+/// key. A population of few classes then pays about one binary search
+/// per class rather than one per miner. A key that loses its slot is
+/// simply searched again, so a class per miner (a restricted game), or
+/// keys that all collide, cost the plain search and never more.
+struct KeyMemo {
+    slots: Vec<Option<(GroupKey, u32)>>,
+    /// `64 − log2(slots)`: the hash bits that pick a slot.
+    shift: u32,
+}
+
+impl KeyMemo {
+    /// A memo of 16 to 1024 slots, no more than about one per miner.
+    fn new(miners: usize) -> Self {
+        let slots = miners.clamp(16, 1024).next_power_of_two();
+        KeyMemo {
+            slots: vec![None; slots],
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(None);
+    }
+
+    /// The slot of `key`: the top bits of a multiplicative hash.
+    fn slot(&mut self, (coin, power, rkey): GroupKey) -> &mut Option<(GroupKey, u32)> {
+        let h = u64::from(coin) ^ power.rotate_left(21) ^ u64::from(rkey).rotate_left(42);
+        &mut self.slots[(h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize]
+    }
+
+    /// The gid recorded for `key`, while its slot still holds it.
+    fn get(&mut self, key: GroupKey) -> Option<u32> {
+        self.slot(key)
+            .filter(|&(k, _)| k == key)
+            .map(|(_, gid)| gid)
+    }
+
+    /// Records `gid` for `key`, evicting whatever held its slot.
+    fn put(&mut self, key: GroupKey, gid: u32) {
+        *self.slot(key) = Some((key, gid));
+    }
+}
+
 /// Sentinel slot for groups that currently have no members (their slab
 /// is parked on the free list — group ids are historical and never die,
 /// but emptied classes should not pin member storage).
 const NO_SLOT: u32 = u32::MAX;
+
+/// Sentinel gid of a class a fresh bulk load has not met yet.
+const NO_GID: u32 = u32::MAX;
 
 /// Partition of the **active** miners into strategic equivalence classes,
 /// maintained under deltas (dormant miners belong to no group). The
 /// layout is arena-style and flat: member slabs ([`MemberSlab`], each a
 /// short list of bounded sorted runs) indexed through a gid → slot table
 /// with a free list, and a sorted key map probed by binary search — no
-/// tree nodes anywhere on the apply/undo hot path.
+/// tree nodes anywhere on the apply/undo hot path. Only
+/// [`MassTracker::load`] builds one.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupIndex {
     /// Group id of each miner (stale while a miner is dormant).
@@ -328,6 +396,9 @@ pub(crate) struct GroupIndex {
     slabs: Vec<MemberSlab>,
     /// Slots of released (empty) slabs, ready for reuse.
     free: Vec<u32>,
+    /// gid → class key: historical group-id order, the
+    /// [`crate::snapshot`] capture order.
+    keys: Vec<GroupKey>,
     /// Key → group id, sorted by key so class-major enumeration and
     /// per-coin range scans stay canonical (coin-major).
     by_key: Vec<(GroupKey, u32)>,
@@ -339,70 +410,6 @@ pub(crate) struct GroupIndex {
 }
 
 impl GroupIndex {
-    fn new(game: &Game, config: &Configuration, active: &[bool]) -> Self {
-        let n = game.system().num_miners();
-        assert_u32_ids(n);
-        let mut index = GroupIndex {
-            of: vec![0; n],
-            slot_of: Vec::new(),
-            slabs: Vec::new(),
-            free: Vec::new(),
-            by_key: Vec::new(),
-            cursor: 0,
-        };
-        for p in game.system().miner_ids() {
-            if active[p.index()] {
-                index.insert(game, p, config.coin_of(p));
-            }
-        }
-        index
-    }
-
-    /// Assembles an index from pre-validated parts: `keys[gid]` in
-    /// historical group-id order and `members[gid]` ascending by miner
-    /// id — the [`crate::snapshot`] bulk-load path, which fills slabs
-    /// directly instead of inserting miner by miner.
-    pub(crate) fn from_sorted_parts(
-        of: Vec<u32>,
-        keys: &[GroupKey],
-        members: Vec<Vec<MinerId>>,
-        cursor: usize,
-    ) -> Self {
-        debug_assert_eq!(keys.len(), members.len());
-        assert_u32_ids(of.len());
-        let mut slot_of = vec![NO_SLOT; keys.len()];
-        let mut slabs = Vec::new();
-        for (gid, m) in members.into_iter().enumerate() {
-            if m.is_empty() {
-                continue;
-            }
-            slot_of[gid] = slabs.len() as u32;
-            slabs.push(MemberSlab::from_sorted(&m));
-        }
-        let mut by_key: Vec<(GroupKey, u32)> = keys
-            .iter()
-            .enumerate()
-            .map(|(gid, &key)| (key, gid as u32))
-            .collect();
-        by_key.sort_unstable();
-        GroupIndex {
-            of,
-            slot_of,
-            slabs,
-            free: Vec::new(),
-            by_key,
-            cursor,
-        }
-    }
-
-    pub(crate) fn rkey(game: &Game, p: MinerId) -> u32 {
-        if game.is_restricted() {
-            p.index() as u32 + 1
-        } else {
-            0
-        }
-    }
-
     /// Whether the members of the class keyed `key` may mine `c`
     /// (restricted classes are singletons, keyed by member id + 1).
     pub(crate) fn class_allows(game: &Game, (_, _, rkey): GroupKey, c: CoinId) -> bool {
@@ -412,17 +419,12 @@ impl GroupIndex {
     /// Number of classes ever minted (group ids are historical: emptied
     /// classes keep their id so the cursor and snapshots stay stable).
     pub(crate) fn group_count(&self) -> usize {
-        self.slot_of.len()
+        self.keys.len()
     }
 
-    /// The class keys in historical group-id order — the
-    /// [`crate::snapshot`] capture order.
-    pub(crate) fn class_keys(&self) -> Vec<GroupKey> {
-        let mut keys = vec![(0, 0, 0); self.slot_of.len()];
-        for &(key, gid) in &self.by_key {
-            keys[gid as usize] = key;
-        }
-        keys
+    /// The class keys in historical group-id order.
+    pub(crate) fn class_keys(&self) -> &[GroupKey] {
+        &self.keys
     }
 
     /// `(key, gid)` pairs in canonical class order (coin, power, rkey).
@@ -465,33 +467,84 @@ impl GroupIndex {
         }
     }
 
+    /// Adopts a captured class table for [`MassTracker::load`]: `keys`
+    /// in historical group-id order and the round-robin `cursor`,
+    /// rejecting a table no tracker could have written.
+    fn adopt(
+        &mut self,
+        game: &Game,
+        keys: &[GroupKey],
+        cursor: usize,
+    ) -> Result<(), SnapshotError> {
+        let corrupted = |reason| Err(SnapshotError::Corrupted { reason });
+        for (gid, &(coin, _, rkey)) in keys.iter().enumerate() {
+            if coin as usize >= game.system().num_coins() {
+                return corrupted(format!("group {gid} keys coin {coin} outside the universe"));
+            }
+            if !game.is_restricted() && rkey != 0 {
+                return corrupted(format!(
+                    "group {gid} carries restriction key {rkey} in an unrestricted game"
+                ));
+            }
+        }
+        if cursor != 0 && cursor >= keys.len() {
+            return corrupted(format!(
+                "cursor {cursor} out of range for {} groups",
+                keys.len()
+            ));
+        }
+        self.by_key = (0..).zip(keys).map(|(gid, &key)| (key, gid)).collect();
+        self.by_key.sort_unstable();
+        if let Some(pair) = self.by_key.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return corrupted(format!("duplicate group key {:?}", pair[0].0));
+        }
+        self.keys = keys.to_vec();
+        self.slot_of = vec![NO_SLOT; keys.len()];
+        self.cursor = cursor;
+        Ok(())
+    }
+
+    /// Where `key` sits in `by_key`: `Ok` at its entry, `Err` where it
+    /// would be inserted.
+    fn find(&self, key: GroupKey) -> Result<usize, usize> {
+        let key = packed(key);
+        self.by_key.binary_search_by(|&(k, _)| packed(k).cmp(&key))
+    }
+
+    /// Mints the next group id, for a class keyed `key` (born empty).
+    fn mint(&mut self, key: GroupKey) -> u32 {
+        let gid = self.keys.len() as u32;
+        self.keys.push(key);
+        self.slot_of.push(NO_SLOT);
+        gid
+    }
+
+    /// The slab of group `gid`, acquiring one (a released slab first)
+    /// while the group is empty.
+    fn slab(&mut self, gid: u32) -> &mut MemberSlab {
+        if self.slot_of[gid as usize] == NO_SLOT {
+            self.slot_of[gid as usize] = self.free.pop().unwrap_or_else(|| {
+                self.slabs.push(MemberSlab::default());
+                (self.slabs.len() - 1) as u32
+            });
+        }
+        &mut self.slabs[self.slot_of[gid as usize] as usize]
+    }
+
     fn insert(&mut self, game: &Game, p: MinerId, coin: CoinId) {
-        let power = game.system().power_of(p);
-        let key = (coin.index() as u32, power, Self::rkey(game, p));
-        let gid = match self.by_key.binary_search_by_key(&key, |&(k, _)| k) {
+        let key = key_of(game, p, coin);
+        let gid = match self.find(key) {
             Ok(at) => self.by_key[at].1,
             Err(at) => {
                 // A fresh class: minting is rare (bounded by distinct
                 // keys ever seen), so the sorted-vec insert stays cold.
-                let gid = self.slot_of.len() as u32;
-                self.slot_of.push(NO_SLOT);
+                let gid = self.mint(key);
                 self.by_key.insert(at, (key, gid));
                 gid
             }
         };
         self.of[p.index()] = gid;
-        let slot = match self.slot_of[gid as usize] {
-            NO_SLOT => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    self.slabs.push(MemberSlab::default());
-                    (self.slabs.len() - 1) as u32
-                });
-                self.slot_of[gid as usize] = slot;
-                slot
-            }
-            slot => slot,
-        };
-        self.slabs[slot as usize].insert(p);
+        self.slab(gid).insert(p);
     }
 
     fn remove(&mut self, p: MinerId) {
@@ -559,7 +612,7 @@ pub struct MassTracker<'g> {
 
 impl<'g> MassTracker<'g> {
     /// Builds a tracker over `start` in `game`, with the whole universe
-    /// active. Costs `O(miners + coins)`.
+    /// active. Costs `O(miners · log classes + coins)`.
     ///
     /// # Errors
     ///
@@ -607,45 +660,100 @@ impl<'g> MassTracker<'g> {
         // of range (Configurations from a different system are accepted by
         // the type system).
         let config = Configuration::new(start.as_slice().to_vec(), system)?;
-        let mut masses = Masses::zero(system.num_coins());
-        for p in system.miner_ids() {
-            if miner_active[p.index()] {
-                let coin = config.coin_of(p);
-                if !coin_active[coin.index()] {
-                    return Err(GameError::CoinInactive { coin });
-                }
-                masses.add(coin, system.power_of(p));
-            }
-        }
-        Ok(MassTracker {
-            groups: GroupIndex::new(game, &config, miner_active),
+        Self::load(
             game,
             config,
-            masses,
-            active_miners: miner_active.iter().filter(|&&a| a).count(),
-            active_coins: coin_active.iter().filter(|&&a| a).count(),
-            miner_active: miner_active.to_vec(),
-            coin_active: coin_active.to_vec(),
-            undo: Vec::new(),
-            record_undo: true,
+            miner_active.to_vec(),
+            coin_active.to_vec(),
+            None,
+        )
+        .map_err(|e| match e {
+            SnapshotError::Game(e) => e,
+            e => unreachable!("a fresh build has no class table to reject: {e}"),
         })
     }
 
-    /// Assembles a tracker directly from validated parts — the
-    /// [`crate::snapshot`] fork path, which bulk-builds the group index
-    /// instead of inserting miner by miner. Callers guarantee the parts
-    /// are mutually consistent (masses match the active configuration,
-    /// groups partition the active miners); decoded snapshots re-verify
-    /// this before reaching here.
-    pub(crate) fn from_parts(
+    /// The one bulk loader behind every tracker: a walk over the active
+    /// miners in id order that sums the masses, checks each miner's coin
+    /// is live, and pushes the miner straight into its class's runs.
+    ///
+    /// With `captured = None` the build is fresh: group ids follow first
+    /// encounter and the cursor starts at 0. With `Some((keys, cursor))`
+    /// it restores a [`crate::snapshot`]: `keys[gid]` names each
+    /// historical class and the round-robin resumes at `cursor`. A
+    /// captured table no tracker could have written — a coin outside
+    /// the universe, a restriction key in an unrestricted game, a
+    /// duplicate key, an out-of-range cursor, or an active miner whose
+    /// class is missing — is a named [`SnapshotError::Corrupted`].
+    ///
+    /// Costs `O(miners · log classes + coins)` whatever the game: one sort
+    /// of the distinct class keys, and a binary search per miner that a
+    /// small memo of recent classes skips while classes are few.
+    pub(crate) fn load(
         game: &'g Game,
         config: Configuration,
-        masses: Masses,
-        groups: GroupIndex,
         miner_active: Vec<bool>,
         coin_active: Vec<bool>,
-    ) -> Self {
-        MassTracker {
+        captured: Option<(&[GroupKey], usize)>,
+    ) -> Result<Self, SnapshotError> {
+        let system = game.system();
+        assert_u32_ids(system.num_miners());
+        let active = || system.miner_ids().filter(|p| miner_active[p.index()]);
+        let mut groups = GroupIndex {
+            of: vec![0; system.num_miners()],
+            slot_of: Vec::new(),
+            slabs: Vec::new(),
+            free: Vec::new(),
+            keys: Vec::new(),
+            by_key: Vec::new(),
+            cursor: 0,
+        };
+        let mut memo = KeyMemo::new(system.num_miners());
+        match captured {
+            // Every class a fresh build will meet, sorted, awaiting the
+            // gid its first member mints. The memo only thins out repeats
+            // before the sort.
+            None => {
+                let mut keys = Vec::new();
+                for p in active() {
+                    let key = key_of(game, p, config.coin_of(p));
+                    if memo.get(key).is_none() {
+                        memo.put(key, NO_GID);
+                        keys.push(key);
+                    }
+                }
+                keys.sort_unstable_by_key(|&key| packed(key));
+                keys.dedup();
+                groups.by_key = keys.into_iter().map(|key| (key, NO_GID)).collect();
+                memo.clear();
+            }
+            Some((keys, cursor)) => groups.adopt(game, keys, cursor)?,
+        }
+        let mut masses = Masses::zero(system.num_coins());
+        for p in active() {
+            let coin = config.coin_of(p);
+            if !coin_active[coin.index()] {
+                return Err(GameError::CoinInactive { coin }.into());
+            }
+            let key @ (_, power, _) = key_of(game, p, coin);
+            masses.add(coin, power);
+            let gid = match memo.get(key) {
+                Some(gid) => gid,
+                None => {
+                    let at = groups.find(key).map_err(|_| SnapshotError::Corrupted {
+                        reason: format!("active miner {p} has no group key"),
+                    })?;
+                    if groups.by_key[at].1 == NO_GID {
+                        groups.by_key[at].1 = groups.mint(key);
+                    }
+                    memo.put(key, groups.by_key[at].1);
+                    groups.by_key[at].1
+                }
+            };
+            groups.of[p.index()] = gid;
+            groups.slab(gid).push(id32(p));
+        }
+        Ok(MassTracker {
             game,
             config,
             masses,
@@ -656,12 +764,17 @@ impl<'g> MassTracker<'g> {
             coin_active,
             undo: Vec::new(),
             record_undo: true,
-        }
+        })
     }
 
     /// The group index, for [`crate::snapshot`] capture.
     pub(crate) fn group_index(&self) -> &GroupIndex {
         &self.groups
+    }
+
+    /// The class key of group `gid`.
+    pub(crate) fn class_key(&self, gid: u32) -> GroupKey {
+        self.groups.keys[gid as usize]
     }
 
     /// Enables or disables undo recording (on by default). Long-running

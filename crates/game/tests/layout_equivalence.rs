@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use goc_game::{CoinId, Configuration, Delta, Game, MassTracker, MinerId};
+use goc_game::{CoinId, Configuration, Delta, Game, MassTracker, MinerId, Snapshot};
 
 /// A random small game plus a random configuration.
 fn game_and_config() -> impl Strategy<Value = (Game, Configuration)> {
@@ -29,6 +29,36 @@ fn game_and_config() -> impl Strategy<Value = (Game, Configuration)> {
             (game, config)
         })
     })
+}
+
+/// [`game_and_config`], restricted when `restrict` is odd: each miner
+/// may mine its start coin plus the coins whose bits its seed sets.
+fn any_game_and_config() -> impl Strategy<Value = (Game, Configuration)> {
+    (
+        game_and_config(),
+        0usize..2,
+        proptest::collection::vec(0usize..64, 3usize..7),
+    )
+        .prop_map(|((game, config), restrict, seeds)| {
+            if restrict == 0 {
+                return (game, config);
+            }
+            let k = game.system().num_coins();
+            let rows: Vec<Vec<bool>> = game
+                .system()
+                .miner_ids()
+                .map(|p| {
+                    let bits = seeds[p.index() % seeds.len()];
+                    (0..k)
+                        .map(|c| c == config.coin_of(p).index() || (bits >> c) & 1 == 1)
+                        .collect()
+                })
+                .collect();
+            let game = game
+                .with_restrictions(rows)
+                .expect("every miner keeps its own coin");
+            (game, config)
+        })
 }
 
 /// Chooses the next delta from three raw random draws, keeping the
@@ -197,6 +227,45 @@ proptest! {
         }
         while tracker.undo_delta().is_some() {}
         assert_matches_oracle(&tracker)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The bulk build is the runtime insert path in one pass: a tracker
+    /// built with random activity masks equals an all-dormant tracker
+    /// that receives the same miners in id order through
+    /// `Delta::InsertMiner` onto their start coins — same group ids,
+    /// members and cursor, and a byte-identical snapshot.
+    #[test]
+    fn bulk_build_matches_inserts_in_id_order(
+        (game, start) in any_game_and_config(),
+        miner_bits in 0u64..256,
+        coin_bits in 1u64..32,
+    ) {
+        let system = game.system();
+        let coin_active: Vec<bool> = system.coin_ids().map(|c| (coin_bits >> c.index()) & 1 == 1).collect();
+        // A miner can only start active on a live coin.
+        let miner_active: Vec<bool> = system
+            .miner_ids()
+            .map(|p| (miner_bits >> p.index()) & 1 == 1 && coin_active[start.coin_of(p).index()])
+            .collect();
+        let built = MassTracker::with_activity(&game, &start, &miner_active, &coin_active)
+            .expect("active miners start on live coins");
+        let dormant = vec![false; system.num_miners()];
+        let mut grown = MassTracker::with_activity(&game, &start, &dormant, &coin_active)
+            .expect("no active miner");
+        for p in system.miner_ids().filter(|p| miner_active[p.index()]) {
+            grown
+                .apply_delta(Delta::InsertMiner { miner: p, coin: Some(start.coin_of(p)) })
+                .expect("a live, permitted start coin");
+        }
+        for p in system.miner_ids().filter(|p| miner_active[p.index()]) {
+            prop_assert_eq!(built.gid_of(p), grown.gid_of(p));
+        }
+        prop_assert_eq!(Snapshot::of(&built).encode(), Snapshot::of(&grown).encode());
+        assert_matches_oracle(&built)?;
     }
 }
 

@@ -202,33 +202,17 @@ fn every_registered_experiment_has_a_golden() {
 }
 
 /// Strips what echoes the worker-thread count by design, and nothing
-/// else: the `ensemble` experiment's `threads` param and the `detail`
-/// of its `aggregate_is_thread_invariant` check, which lists the thread
-/// counts it compared (its verdict still counts).
+/// else: the `ensemble` experiment's `threads` param.
 fn strip_thread_echoes(report: &mut Value) {
     let Value::Object(fields) = report else {
         panic!("report must be a JSON object");
     };
     for (key, value) in fields.iter_mut() {
-        match (key.as_str(), value) {
-            ("params", Value::Array(params)) => params.retain(|entry| {
+        if let ("params", Value::Array(params)) = (key.as_str(), value) {
+            params.retain(|entry| {
                 !matches!(entry, Value::Array(kv)
                     if matches!(kv.first(), Some(Value::String(k)) if k == "threads"))
-            }),
-            ("checks", Value::Array(checks)) => {
-                for check in checks {
-                    let echoes = matches!(check.get("name"),
-                        Some(Value::String(n)) if n == "aggregate_is_thread_invariant");
-                    if let (true, Value::Object(fields)) = (echoes, check) {
-                        for (key, value) in fields.iter_mut() {
-                            if key == "detail" {
-                                *value = Value::String(String::new());
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
+            });
         }
     }
 }
