@@ -13,8 +13,17 @@
 //! index splits, empties and refills classes that span several storage
 //! runs. Its rows were recorded before the class storage was split into
 //! runs.
+//!
+//! A third table pins a 2 000-miner restricted game (one barred coin per
+//! miner) from a seeded random start, where every class is a single
+//! miner, so each move finds or mints its destination class. Its rows
+//! were recorded while classes were still found by a search over a
+//! sorted key list, before the dense (family, coin) table replaced it.
 
-use goc_game::{gen::random_config, CoinId, Configuration, Delta, Game, MinerId};
+use goc_game::{
+    gen::{random_config, random_config_restricted},
+    CoinId, Configuration, Delta, Game, MinerId,
+};
 use goc_learning::{ChurnPlan, Dynamics, SchedulerKind};
 use rand::{rngs::SmallRng, SeedableRng};
 
@@ -181,6 +190,76 @@ fn large_class_trajectories_are_pinned() {
     let (game, start) = large_fixture();
     let plan = large_plan();
     for (kind, churn, want) in LARGE_PINS {
+        let (steps, churn_applied, reprobes, config) =
+            run_on(&game, &start, kind, churn.then_some(&plan));
+        let got = (steps, churn_applied, reprobes, fnv1a(&config));
+        assert_eq!(got, want, "{kind:?}, churn: {churn}");
+    }
+}
+
+const RESTRICTED_MINERS: usize = 2_000;
+
+/// 2 000 miners in four power classes over three coins, each barred from
+/// one coin (miner `i` from coin `i % 3`), from a seeded random start on
+/// permitted coins. Restricted classes are keyed per miner, so every
+/// class is a singleton and every destination class is found or minted
+/// on each move.
+fn restricted_fixture() -> (Game, Configuration) {
+    let powers: Vec<u64> = (0..RESTRICTED_MINERS)
+        .map(|i| [8u64, 5, 3, 1][i % 4])
+        .collect();
+    let rows = (0..RESTRICTED_MINERS)
+        .map(|i| (0..3).map(|c| c != i % 3).collect())
+        .collect();
+    let game = Game::build(&powers, &[21, 13, 8])
+        .unwrap()
+        .with_restrictions(rows)
+        .unwrap();
+    let start = random_config_restricted(&mut SmallRng::seed_from_u64(33), &game);
+    (game, start)
+}
+
+/// Every eighth miner starts offline. The stream brings miners in and
+/// takes them out, and retires coin 2 and relaunches it (every miner
+/// keeps a permitted live coin: only one coin is ever down), ending far
+/// beyond convergence.
+fn restricted_plan() -> ChurnPlan {
+    let insert = |miner| Delta::InsertMiner {
+        miner: MinerId(miner),
+        coin: None,
+    };
+    ChurnPlan::with_events(
+        Some((0..RESTRICTED_MINERS).map(|i| i % 8 != 7).collect()),
+        None,
+        [
+            (20, insert(7)),
+            (60, Delta::RemoveMiner { miner: MinerId(4) }),
+            (120, Delta::RetireCoin { coin: CoinId(2) }),
+            (300, Delta::LaunchCoin { coin: CoinId(2) }),
+            (400, insert(15)),
+            (1_000_000, insert(23)),
+        ],
+    )
+}
+
+/// `(scheduler, churn?, pin)` on [`restricted_fixture`], the final
+/// configuration as its [`fnv1a`] digest. `UniformRandom` draws over the
+/// classes in their canonical key order, so it pins that order too.
+#[rustfmt::skip]
+const RESTRICTED_PINS: [(Option<SchedulerKind>, bool, Pin<u64>); 6] = [
+    (None, false, (499, 0, 0, 13047797770847242384)),
+    (None, true, (689, 6, 0, 8737417115040804361)),
+    (Some(SchedulerKind::RoundRobin), false, (499, 0, 562532, 13047797770847242384)),
+    (Some(SchedulerKind::RoundRobin), true, (689, 6, 746908, 13449124467216830910)),
+    (Some(SchedulerKind::UniformRandom), false, (498, 0, 553000, 12425826899272983034)),
+    (Some(SchedulerKind::UniformRandom), true, (688, 6, 747035, 1521377568908240191)),
+];
+
+#[test]
+fn restricted_trajectories_are_pinned() {
+    let (game, start) = restricted_fixture();
+    let plan = restricted_plan();
+    for (kind, churn, want) in RESTRICTED_PINS {
         let (steps, churn_applied, reprobes, config) =
             run_on(&game, &start, kind, churn.then_some(&plan));
         let got = (steps, churn_applied, reprobes, fnv1a(&config));
