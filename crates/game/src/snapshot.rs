@@ -24,7 +24,10 @@
 //! A snapshot builds trackers the way [`MassTracker::new`] does, through
 //! the tracker's one bulk loader: [`Snapshot::fork_at`] is a fresh build
 //! at a new start, while [`Snapshot::fork`], [`Snapshot::fork_into`] and
-//! decoding restore the captured class table and cursor.
+//! decoding restore the captured class table and cursor. A snapshot
+//! shares the captured tracker's strategic families (its miners
+//! numbered by `(power, restriction)`), so no fork sorts the population
+//! again; only decoding derives them anew.
 //!
 //! # Wire format (version 1)
 //!
@@ -44,8 +47,8 @@
 //! re-validated by restoring a tracker from it (masses recomputed from
 //! the configuration and activity masks, the class table checked for
 //! out-of-range coins and cursors, stray restriction keys, duplicates,
-//! and active miners it does not cover) before a [`Snapshot`] is handed
-//! back.
+//! classes of a family no miner has, and active miners it does not
+//! cover) before a [`Snapshot`] is handed back.
 //!
 //! # Examples
 //!
@@ -65,6 +68,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::config::{Configuration, Masses};
 use crate::error::GameError;
@@ -72,7 +76,7 @@ use crate::game::{Game, Rewards};
 use crate::ids::CoinId;
 use crate::ratio::Ratio;
 use crate::system::SystemBuilder;
-use crate::tracker::{GroupKey, MassTracker};
+use crate::tracker::{Families, GroupKey, MassTracker};
 
 /// The 4-byte snapshot magic (`"GOCS"`).
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"GOCS";
@@ -323,6 +327,9 @@ pub struct Snapshot {
     /// emptied by later moves — their ids still pace the cursor).
     keys: Vec<GroupKey>,
     cursor: usize,
+    /// The game's strategic families, shared with the captured tracker
+    /// and every fork, so no fork re-derives them.
+    families: Arc<Families>,
 }
 
 impl Snapshot {
@@ -338,6 +345,7 @@ impl Snapshot {
             coin_active: tracker.coin_activity().to_vec(),
             keys: index.class_keys().to_vec(),
             cursor: index.cursor,
+            families: Arc::clone(&index.families),
         }
     }
 
@@ -446,6 +454,7 @@ impl Snapshot {
         }
         MassTracker::load(
             game,
+            Arc::clone(&self.families),
             self.config.clone(),
             self.miner_active.clone(),
             self.coin_active.clone(),
@@ -459,19 +468,22 @@ impl Snapshot {
     /// (game, masks), each replica supplies its own random start. The
     /// group index is built fresh (first-encounter id order, cursor 0):
     /// this is exactly [`MassTracker::with_activity`] over the
-    /// snapshot's game and masks.
+    /// snapshot's game and masks, except that the game's strategic
+    /// families are shared with the snapshot rather than derived again.
     ///
     /// # Errors
     ///
     /// * [`SnapshotError::Game`] wrapping the shape/activity errors of
     ///   [`MassTracker::with_activity`].
     pub fn fork_at(&self, start: &Configuration) -> Result<MassTracker<'_>, SnapshotError> {
-        Ok(MassTracker::with_activity(
+        MassTracker::load(
             &self.game,
-            start,
-            &self.miner_active,
-            &self.coin_active,
-        )?)
+            Arc::clone(&self.families),
+            Configuration::new(start.as_slice().to_vec(), self.game.system())?,
+            self.miner_active.clone(),
+            self.coin_active.clone(),
+            None,
+        )
     }
 }
 
@@ -620,8 +632,10 @@ impl TryFrom<&[u8]> for Snapshot {
         // trusted with: masses are recomputed from the configuration and
         // activity masks, and the class table is checked against the
         // active population.
+        let families = Families::new(&game);
         let masses = MassTracker::load(
             &game,
+            Arc::clone(&families),
             config.clone(),
             miner_active.clone(),
             coin_active.clone(),
@@ -638,6 +652,7 @@ impl TryFrom<&[u8]> for Snapshot {
             coin_active,
             keys,
             cursor,
+            families,
         })
     }
 }
@@ -915,6 +930,40 @@ mod tests {
             *cursor = keys.len() as u64;
         });
         assert!(corrupted_reason(&bad).contains("out of range"));
+    }
+
+    #[test]
+    fn decode_rejects_a_class_key_no_miner_has() {
+        // Unrestricted: no miner has power 1000.
+        let (bytes, groups) = class_table_fixture();
+        let bad = with_class_table(&bytes, groups, |keys, _| keys.push((0, 1000, 0)));
+        assert!(corrupted_reason(&bad).contains("power 1000 with restriction key 0"));
+
+        // Restricted: miner 0 (restriction key 1) has power 8, not 5, and
+        // restriction key 7 would be miner 6 of a 6-miner universe.
+        let game = Game::build(&[8, 5, 3, 2, 1, 1], &[7, 4, 2])
+            .unwrap()
+            .with_restrictions(
+                (0..6)
+                    .map(|i| (0..3).map(|c| c != i % 3).collect())
+                    .collect(),
+            )
+            .unwrap();
+        let start = (0..6).map(|i| CoinId((i + 1) % 3)).collect();
+        let start = Configuration::new(start, game.system()).unwrap();
+        let mut tracker = MassTracker::new(&game, &start).unwrap();
+        while let Some(mv) = tracker.find_improving_move() {
+            tracker.apply(mv.miner, mv.to);
+        }
+        let (bytes, groups) = (Snapshot::of(&tracker).encode(), tracker.group_count());
+        assert!(Snapshot::try_from(bytes.as_slice()).is_ok());
+        for (key, named) in [
+            ((1, 5, 1), "power 5 with restriction key 1"),
+            ((1, 1, 7), "power 1 with restriction key 7"),
+        ] {
+            let bad = with_class_table(&bytes, groups, |keys, _| keys.push(key));
+            assert!(corrupted_reason(&bad).contains(named), "{key:?}");
+        }
     }
 
     #[test]

@@ -26,17 +26,18 @@
 //!   targets and drop out of every potential. The four population deltas
 //!   ([`crate::Delta::InsertMiner`], [`crate::Delta::RemoveMiner`],
 //!   [`crate::Delta::LaunchCoin`], [`crate::Delta::RetireCoin`]) splice
-//!   the group index and patch masses/payoffs in an `O(log groups)` key
-//!   lookup plus one slab edit (see below) — plus
+//!   the group index and patch masses/payoffs in one class-table lookup
+//!   plus one slab edit (see below) — plus
 //!   `O(residents × coins)` for a retirement's forced relocations —
 //!   with **no rebuild**.
 //!
 //! The group index is a **flat arena**, not a tree. Each class's members
 //! live in one slab: a short list of sorted runs of `u32` ids, each at
-//! most `RUN` (256) long with its own head offset. Class keys sit in a
-//! single sorted vec resolved by binary search, and emptied classes
-//! hand their slab to a free list for the next launch. The cost model
-//! per member edit:
+//! most `RUN` (256) long with its own head offset. A class is found by
+//! one index into a dense table from `(coin, family)` to group id, where
+//! a *family* is a `(power, restriction)` pair, and emptied classes hand
+//! their slab to a free list for the next launch. The cost model per
+//! member edit:
 //!
 //! * removing the minimum — the dominant pattern while dynamics
 //!   converge — is a head bump, and inserting above the maximum is a
@@ -59,10 +60,15 @@
 //! order that sums the masses and appends each miner to its class's
 //! last run — members arrive ascending, so no run is searched or
 //! shifted. A fresh build numbers classes by first encounter; a restore
-//! adopts a captured class table and cursor. Keys resolve against the
-//! one sorted key list behind a small flat memo, so a build costs
-//! `O(miners · log classes)` on any game, a restricted game's class per
-//! miner included.
+//! adopts a captured class table and cursor. Each miner's class is one
+//! table lookup, so a build costs `O(miners + coins × families)` on any
+//! game, a restricted game's family per miner included. Families are
+//! numbered in ascending `(power, restriction)` order by one sort over
+//! the universe when a tracker is built from a game (`new`,
+//! `with_activity`, snapshot decode); every clone, snapshot and fork
+//! shares that numbering, so a fork repeats no sort. The ascending
+//! numbering makes a row-by-row scan of the table the canonical class
+//! order `(coin, power, restriction)`.
 //!
 //! The layout is deliberately *not* part of the API: accessors expose
 //! iterators ([`MassTracker::members_of`]), `Option<MinerId>`
@@ -108,6 +114,8 @@
 //! assert_eq!(tracker.coin_of(MinerId(1)), CoinId(1));
 //! # Ok::<(), goc_game::GameError>(())
 //! ```
+
+use std::sync::Arc;
 
 use crate::config::{Configuration, Masses};
 use crate::delta::{AppliedDelta, Delta};
@@ -313,61 +321,48 @@ fn assert_u32_ids(n: usize) {
 /// flat move list.
 pub(crate) type GroupKey = (u32, u64, u32);
 
-/// The class key of miner `p` on `coin`: the one place a key is
-/// computed, shared by the bulk loader and the runtime insert.
-fn key_of(game: &Game, p: MinerId, coin: CoinId) -> GroupKey {
-    let rkey = if game.is_restricted() { id32(p) + 1 } else { 0 };
-    (coin.index() as u32, game.system().power_of(p), rkey)
+/// A class key without its coin: `(power, restriction discriminator)`.
+/// Miners of one family on one coin form one class.
+type Family = (u64, u32);
+
+/// The families of a game's whole universe, dormant miners included
+/// (they may arrive later), numbered in ascending `(power, rkey)` order.
+/// One sort derives them for a fresh build; every clone, snapshot and
+/// fork of that tracker shares the result by `Arc`.
+#[derive(Debug)]
+pub(crate) struct Families {
+    /// Family id of each miner of the universe.
+    of: Vec<u32>,
+    /// Family id → `(power, rkey)`, ascending.
+    keys: Vec<Family>,
 }
 
-/// A class key as one `u128` in the same order (coin, then power, then
-/// restriction), so searches and sorts compare without branching.
-fn packed((coin, power, rkey): GroupKey) -> u128 {
-    (u128::from(coin) << 96) | (u128::from(power) << 32) | u128::from(rkey)
-}
-
-/// A flat, direct-mapped memo of the bulk loader's class lookups: the
-/// last `(key, gid)` seen in each slot, the slot chosen by a hash of the
-/// key. A population of few classes then pays about one binary search
-/// per class rather than one per miner. A key that loses its slot is
-/// simply searched again, so a class per miner (a restricted game), or
-/// keys that all collide, cost the plain search and never more.
-struct KeyMemo {
-    slots: Vec<Option<(GroupKey, u32)>>,
-    /// `64 − log2(slots)`: the hash bits that pick a slot.
-    shift: u32,
-}
-
-impl KeyMemo {
-    /// A memo of 16 to 1024 slots, no more than about one per miner.
-    fn new(miners: usize) -> Self {
-        let slots = miners.clamp(16, 1024).next_power_of_two();
-        KeyMemo {
-            slots: vec![None; slots],
-            shift: 64 - slots.trailing_zeros(),
+impl Families {
+    /// Derives the families of `game`'s universe: one sort of its miners
+    /// by `(power, rkey)`.
+    pub(crate) fn new(game: &Game) -> Arc<Families> {
+        let system = game.system();
+        assert_u32_ids(system.num_miners());
+        let restricted = game.is_restricted();
+        let mut order: Vec<(Family, u32)> = system
+            .miner_ids()
+            .map(|p| {
+                let rkey = if restricted { id32(p) + 1 } else { 0 };
+                ((system.power_of(p), rkey), id32(p))
+            })
+            .collect();
+        // Compare families only: miners of one family are ties, which
+        // the pattern-defeating sort settles in `O(miners × log families)`.
+        order.sort_unstable_by_key(|&(family, _)| family);
+        let mut of = vec![0; order.len()];
+        let mut keys: Vec<Family> = Vec::new();
+        for (family, p) in order {
+            if keys.last() != Some(&family) {
+                keys.push(family);
+            }
+            of[p as usize] = (keys.len() - 1) as u32;
         }
-    }
-
-    fn clear(&mut self) {
-        self.slots.fill(None);
-    }
-
-    /// The slot of `key`: the top bits of a multiplicative hash.
-    fn slot(&mut self, (coin, power, rkey): GroupKey) -> &mut Option<(GroupKey, u32)> {
-        let h = u64::from(coin) ^ power.rotate_left(21) ^ u64::from(rkey).rotate_left(42);
-        &mut self.slots[(h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize]
-    }
-
-    /// The gid recorded for `key`, while its slot still holds it.
-    fn get(&mut self, key: GroupKey) -> Option<u32> {
-        self.slot(key)
-            .filter(|&(k, _)| k == key)
-            .map(|(_, gid)| gid)
-    }
-
-    /// Records `gid` for `key`, evicting whatever held its slot.
-    fn put(&mut self, key: GroupKey, gid: u32) {
-        *self.slot(key) = Some((key, gid));
+        Arc::new(Families { of, keys })
     }
 }
 
@@ -376,16 +371,16 @@ impl KeyMemo {
 /// but emptied classes should not pin member storage).
 const NO_SLOT: u32 = u32::MAX;
 
-/// Sentinel gid of a class a fresh bulk load has not met yet.
+/// Sentinel gid of a class that has not been minted yet.
 const NO_GID: u32 = u32::MAX;
 
 /// Partition of the **active** miners into strategic equivalence classes,
 /// maintained under deltas (dormant miners belong to no group). The
 /// layout is arena-style and flat: member slabs ([`MemberSlab`], each a
 /// short list of bounded sorted runs) indexed through a gid → slot table
-/// with a free list, and a sorted key map probed by binary search — no
-/// tree nodes anywhere on the apply/undo hot path. Only
-/// [`MassTracker::load`] builds one.
+/// with a free list, and a dense `(coin, family)` → gid table — no tree
+/// nodes anywhere on the apply/undo hot path. Only [`MassTracker::load`]
+/// builds one.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupIndex {
     /// Group id of each miner (stale while a miner is dormant).
@@ -399,9 +394,14 @@ pub(crate) struct GroupIndex {
     /// gid → class key: historical group-id order, the
     /// [`crate::snapshot`] capture order.
     keys: Vec<GroupKey>,
-    /// Key → group id, sorted by key so class-major enumeration and
-    /// per-coin range scans stay canonical (coin-major).
-    by_key: Vec<(GroupKey, u32)>,
+    /// The universe's families, shared with every clone, snapshot and
+    /// fork.
+    pub(crate) families: Arc<Families>,
+    /// `(coin, family)` → gid at `coin × families + family`, or
+    /// [`NO_GID`] while that class is unminted. Rows run in coin order
+    /// and families ascend within a row, so a scan yields the classes in
+    /// canonical key order (coin, power, rkey).
+    table: Vec<u32>,
     /// Round-robin cursor for [`MassTracker::find_improving_move`]
     /// (captured and restored by [`crate::snapshot`] — forks must resume
     /// the round-robin exactly where the original stood to replay
@@ -429,7 +429,10 @@ impl GroupIndex {
 
     /// `(key, gid)` pairs in canonical class order (coin, power, rkey).
     pub(crate) fn classes(&self) -> impl Iterator<Item = (GroupKey, u32)> + '_ {
-        self.by_key.iter().copied()
+        self.table
+            .iter()
+            .filter(|&&gid| gid != NO_GID)
+            .map(|&gid| (self.keys[gid as usize], gid))
     }
 
     /// The live members of group `gid`, ascending by id (none for
@@ -467,17 +470,32 @@ impl GroupIndex {
         }
     }
 
+    /// The table entry of family `family` on coin `coin`.
+    fn at(&self, coin: usize, family: u32) -> usize {
+        coin * self.families.keys.len() + family as usize
+    }
+
     /// Adopts a captured class table for [`MassTracker::load`]: `keys`
     /// in historical group-id order and the round-robin `cursor`,
-    /// rejecting a table no tracker could have written.
+    /// rejecting a table no tracker could have written. A key whose
+    /// family no miner has is returned by gid instead, for the loader to
+    /// reject after its walk, so an active miner the table does not
+    /// cover is named first.
     fn adopt(
         &mut self,
         game: &Game,
         keys: &[GroupKey],
         cursor: usize,
-    ) -> Result<(), SnapshotError> {
+    ) -> Result<Option<usize>, SnapshotError> {
         let corrupted = |reason| Err(SnapshotError::Corrupted { reason });
-        for (gid, &(coin, _, rkey)) in keys.iter().enumerate() {
+        if cursor != 0 && cursor >= keys.len() {
+            return corrupted(format!(
+                "cursor {cursor} out of range for {} groups",
+                keys.len()
+            ));
+        }
+        let mut stray = None;
+        for (gid, &key @ (coin, power, rkey)) in keys.iter().enumerate() {
             if coin as usize >= game.system().num_coins() {
                 return corrupted(format!("group {gid} keys coin {coin} outside the universe"));
             }
@@ -486,37 +504,34 @@ impl GroupIndex {
                     "group {gid} carries restriction key {rkey} in an unrestricted game"
                 ));
             }
-        }
-        if cursor != 0 && cursor >= keys.len() {
-            return corrupted(format!(
-                "cursor {cursor} out of range for {} groups",
-                keys.len()
-            ));
-        }
-        self.by_key = (0..).zip(keys).map(|(gid, &key)| (key, gid)).collect();
-        self.by_key.sort_unstable();
-        if let Some(pair) = self.by_key.windows(2).find(|pair| pair[0].0 == pair[1].0) {
-            return corrupted(format!("duplicate group key {:?}", pair[0].0));
+            let Ok(family) = self.families.keys.binary_search(&(power, rkey)) else {
+                stray = stray.or(Some(gid));
+                continue;
+            };
+            let at = self.at(coin as usize, family as u32);
+            if self.table[at] != NO_GID {
+                return corrupted(format!("duplicate group key {key:?}"));
+            }
+            self.table[at] = gid as u32;
         }
         self.keys = keys.to_vec();
         self.slot_of = vec![NO_SLOT; keys.len()];
         self.cursor = cursor;
-        Ok(())
+        Ok(stray)
     }
 
-    /// Where `key` sits in `by_key`: `Ok` at its entry, `Err` where it
-    /// would be inserted.
-    fn find(&self, key: GroupKey) -> Result<usize, usize> {
-        let key = packed(key);
-        self.by_key.binary_search_by(|&(k, _)| packed(k).cmp(&key))
-    }
-
-    /// Mints the next group id, for a class keyed `key` (born empty).
-    fn mint(&mut self, key: GroupKey) -> u32 {
-        let gid = self.keys.len() as u32;
-        self.keys.push(key);
-        self.slot_of.push(NO_SLOT);
-        gid
+    /// The gid of `p`'s class on `coin`: one table lookup, minting the
+    /// class (born empty) on its first member.
+    fn class_of(&mut self, p: MinerId, coin: CoinId) -> u32 {
+        let family = self.families.of[p.index()];
+        let at = self.at(coin.index(), family);
+        if self.table[at] == NO_GID {
+            let (power, rkey) = self.families.keys[family as usize];
+            self.table[at] = self.keys.len() as u32;
+            self.keys.push((coin.index() as u32, power, rkey));
+            self.slot_of.push(NO_SLOT);
+        }
+        self.table[at]
     }
 
     /// The slab of group `gid`, acquiring one (a released slab first)
@@ -531,18 +546,8 @@ impl GroupIndex {
         &mut self.slabs[self.slot_of[gid as usize] as usize]
     }
 
-    fn insert(&mut self, game: &Game, p: MinerId, coin: CoinId) {
-        let key = key_of(game, p, coin);
-        let gid = match self.find(key) {
-            Ok(at) => self.by_key[at].1,
-            Err(at) => {
-                // A fresh class: minting is rare (bounded by distinct
-                // keys ever seen), so the sorted-vec insert stays cold.
-                let gid = self.mint(key);
-                self.by_key.insert(at, (key, gid));
-                gid
-            }
-        };
+    fn insert(&mut self, p: MinerId, coin: CoinId) {
+        let gid = self.class_of(p, coin);
         self.of[p.index()] = gid;
         self.slab(gid).insert(p);
     }
@@ -561,18 +566,16 @@ impl GroupIndex {
         }
     }
 
-    fn move_miner(&mut self, game: &Game, p: MinerId, to: CoinId) {
+    fn move_miner(&mut self, p: MinerId, to: CoinId) {
         self.remove(p);
-        self.insert(game, p, to);
+        self.insert(p, to);
     }
 
-    /// Group ids of every class currently keyed to coin `c` (some may be
-    /// empty). `O(log groups + output)` via a partition-point range scan.
+    /// Group ids of every class minted on coin `c` (some may be empty),
+    /// by power then rkey: row `c` of the table.
     pub(crate) fn groups_on(&self, c: CoinId) -> impl Iterator<Item = u32> + '_ {
-        let c = c.index() as u32;
-        let lo = self.by_key.partition_point(|&((coin, _, _), _)| coin < c);
-        let hi = self.by_key.partition_point(|&((coin, _, _), _)| coin <= c);
-        self.by_key[lo..hi].iter().map(|&(_, gid)| gid)
+        let row = self.at(c.index(), 0)..self.at(c.index() + 1, 0);
+        self.table[row].iter().copied().filter(|&gid| gid != NO_GID)
     }
 }
 
@@ -612,7 +615,8 @@ pub struct MassTracker<'g> {
 
 impl<'g> MassTracker<'g> {
     /// Builds a tracker over `start` in `game`, with the whole universe
-    /// active. Costs `O(miners · log classes + coins)`.
+    /// active. Costs one sort of the miners by family plus
+    /// `O(miners + coins × families)`.
     ///
     /// # Errors
     ///
@@ -662,6 +666,7 @@ impl<'g> MassTracker<'g> {
         let config = Configuration::new(start.as_slice().to_vec(), system)?;
         Self::load(
             game,
+            Families::new(game),
             config,
             miner_active.to_vec(),
             coin_active.to_vec(),
@@ -676,6 +681,7 @@ impl<'g> MassTracker<'g> {
     /// The one bulk loader behind every tracker: a walk over the active
     /// miners in id order that sums the masses, checks each miner's coin
     /// is live, and pushes the miner straight into its class's runs.
+    /// `families` must be derived from `game`.
     ///
     /// With `captured = None` the build is fresh: group ids follow first
     /// encounter and the cursor starts at 0. With `Some((keys, cursor))`
@@ -683,75 +689,60 @@ impl<'g> MassTracker<'g> {
     /// historical class and the round-robin resumes at `cursor`. A
     /// captured table no tracker could have written — a coin outside
     /// the universe, a restriction key in an unrestricted game, a
-    /// duplicate key, an out-of-range cursor, or an active miner whose
-    /// class is missing — is a named [`SnapshotError::Corrupted`].
+    /// duplicate key, an out-of-range cursor, an active miner whose
+    /// class is missing, or a class of a family no miner has — is a
+    /// named [`SnapshotError::Corrupted`].
     ///
-    /// Costs `O(miners · log classes + coins)` whatever the game: one sort
-    /// of the distinct class keys, and a binary search per miner that a
-    /// small memo of recent classes skips while classes are few.
+    /// Costs `O(miners + coins × families + classes)`: each miner's class
+    /// is one lookup in the dense `(coin, family)` table (a restore
+    /// first fills it from the captured keys, one binary search over
+    /// the families per class).
     pub(crate) fn load(
         game: &'g Game,
+        families: Arc<Families>,
         config: Configuration,
         miner_active: Vec<bool>,
         coin_active: Vec<bool>,
         captured: Option<(&[GroupKey], usize)>,
     ) -> Result<Self, SnapshotError> {
         let system = game.system();
-        assert_u32_ids(system.num_miners());
-        let active = || system.miner_ids().filter(|p| miner_active[p.index()]);
+        debug_assert_eq!(families.of.len(), system.num_miners());
         let mut groups = GroupIndex {
             of: vec![0; system.num_miners()],
             slot_of: Vec::new(),
             slabs: Vec::new(),
             free: Vec::new(),
             keys: Vec::new(),
-            by_key: Vec::new(),
+            table: vec![NO_GID; system.num_coins() * families.keys.len()],
+            families,
             cursor: 0,
         };
-        let mut memo = KeyMemo::new(system.num_miners());
-        match captured {
-            // Every class a fresh build will meet, sorted, awaiting the
-            // gid its first member mints. The memo only thins out repeats
-            // before the sort.
-            None => {
-                let mut keys = Vec::new();
-                for p in active() {
-                    let key = key_of(game, p, config.coin_of(p));
-                    if memo.get(key).is_none() {
-                        memo.put(key, NO_GID);
-                        keys.push(key);
-                    }
-                }
-                keys.sort_unstable_by_key(|&key| packed(key));
-                keys.dedup();
-                groups.by_key = keys.into_iter().map(|key| (key, NO_GID)).collect();
-                memo.clear();
-            }
+        let corrupted = |reason| SnapshotError::Corrupted { reason };
+        let stray = match captured {
+            None => None,
             Some((keys, cursor)) => groups.adopt(game, keys, cursor)?,
-        }
+        };
+        // A restore may not mint: every active miner's class is captured.
+        let adopted = captured.map_or(usize::MAX, |(keys, _)| keys.len());
         let mut masses = Masses::zero(system.num_coins());
-        for p in active() {
+        for p in system.miner_ids().filter(|p| miner_active[p.index()]) {
             let coin = config.coin_of(p);
             if !coin_active[coin.index()] {
                 return Err(GameError::CoinInactive { coin }.into());
             }
-            let key @ (_, power, _) = key_of(game, p, coin);
-            masses.add(coin, power);
-            let gid = match memo.get(key) {
-                Some(gid) => gid,
-                None => {
-                    let at = groups.find(key).map_err(|_| SnapshotError::Corrupted {
-                        reason: format!("active miner {p} has no group key"),
-                    })?;
-                    if groups.by_key[at].1 == NO_GID {
-                        groups.by_key[at].1 = groups.mint(key);
-                    }
-                    memo.put(key, groups.by_key[at].1);
-                    groups.by_key[at].1
-                }
-            };
+            masses.add(coin, system.power_of(p));
+            let gid = groups.class_of(p, coin);
+            if gid as usize >= adopted {
+                return Err(corrupted(format!("active miner {p} has no group key")));
+            }
             groups.of[p.index()] = gid;
             groups.slab(gid).push(id32(p));
+        }
+        if let Some(gid) = stray {
+            let (_, power, rkey) = groups.keys[gid];
+            return Err(corrupted(format!(
+                "group {gid} keys power {power} with restriction key {rkey}, which no miner has"
+            )));
         }
         Ok(MassTracker {
             game,
@@ -1183,8 +1174,8 @@ impl<'g> MassTracker<'g> {
     // Mutation
     // ------------------------------------------------------------------
 
-    /// Moves `p` to `to`, updating masses and the group index in an
-    /// `O(log groups)` key lookup plus two slab edits (each `O(1)` at a
+    /// Moves `p` to `to`, updating masses and the group index in one
+    /// class-table lookup plus two slab edits (each `O(1)` at a
     /// class end, otherwise bounded by one run), and pushes the move onto
     /// the undo stack. Returns the
     /// applied move (with its `from` coin). Shorthand for a
@@ -1214,8 +1205,8 @@ impl<'g> MassTracker<'g> {
 
     /// Applies one churn [`Delta`], validating it against the current
     /// activity state, and pushes the resolved [`AppliedDelta`] onto the
-    /// undo stack. An `O(log groups)` key lookup plus slab edits bounded
-    /// by one run for moves, insertions, removals, and launches;
+    /// undo stack. One class-table lookup plus slab edits bounded by one
+    /// run for moves, insertions, removals, and launches;
     /// `O(residents × coins)` for a retirement (the forced relocations).
     ///
     /// # Errors
@@ -1292,7 +1283,7 @@ impl<'g> MassTracker<'g> {
                 self.active_miners += 1;
                 self.masses.add(coin, self.game.system().power_of(miner));
                 self.config.apply_move(miner, coin);
-                self.groups.insert(self.game, miner, coin);
+                self.groups.insert(miner, coin);
                 Ok(AppliedDelta::InsertMiner {
                     miner,
                     coin,
@@ -1403,7 +1394,7 @@ impl<'g> MassTracker<'g> {
                 self.active_miners += 1;
                 self.masses.add(*coin, self.game.system().power_of(*miner));
                 self.config.apply_move(*miner, *coin);
-                self.groups.insert(self.game, *miner, *coin);
+                self.groups.insert(*miner, *coin);
             }
             AppliedDelta::LaunchCoin { coin } => {
                 debug_assert_eq!(self.masses.mass_of(*coin), 0, "launch undone after moves");
@@ -1458,7 +1449,7 @@ impl<'g> MassTracker<'g> {
         let power = self.game.system().power_of(p);
         self.masses.apply_move(power, from, to);
         self.config.apply_move(p, to);
-        self.groups.move_miner(self.game, p, to);
+        self.groups.move_miner(p, to);
     }
 }
 
