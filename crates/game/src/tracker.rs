@@ -327,8 +327,9 @@ type Family = (u64, u32);
 
 /// The families of a game's whole universe, dormant miners included
 /// (they may arrive later), numbered in ascending `(power, rkey)` order.
-/// One sort derives them for a fresh build; every clone, snapshot and
-/// fork of that tracker shares the result by `Arc`.
+/// One sort derives them when a tracker is built from a game (`new`,
+/// `with_activity`, snapshot decode); every clone, snapshot and fork of
+/// that tracker shares the result by `Arc`.
 #[derive(Debug)]
 pub(crate) struct Families {
     /// Family id of each miner of the universe.
@@ -338,30 +339,21 @@ pub(crate) struct Families {
 }
 
 impl Families {
-    /// Derives the families of `game`'s universe: one sort of its miners
-    /// by `(power, rkey)`.
+    /// Derives the families of `game`'s universe: one sort of its
+    /// miners' `(power, rkey)` pairs, then a binary search per miner.
     pub(crate) fn new(game: &Game) -> Arc<Families> {
         let system = game.system();
         assert_u32_ids(system.num_miners());
         let restricted = game.is_restricted();
-        let mut order: Vec<(Family, u32)> = system
+        let family = |p: MinerId| (system.power_of(p), if restricted { id32(p) + 1 } else { 0 });
+        let mut keys: Vec<Family> = system.miner_ids().map(family).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.shrink_to_fit();
+        let of = system
             .miner_ids()
-            .map(|p| {
-                let rkey = if restricted { id32(p) + 1 } else { 0 };
-                ((system.power_of(p), rkey), id32(p))
-            })
+            .map(|p| keys.partition_point(|&key| key < family(p)) as u32)
             .collect();
-        // Compare families only: miners of one family are ties, which
-        // the pattern-defeating sort settles in `O(miners × log families)`.
-        order.sort_unstable_by_key(|&(family, _)| family);
-        let mut of = vec![0; order.len()];
-        let mut keys: Vec<Family> = Vec::new();
-        for (family, p) in order {
-            if keys.last() != Some(&family) {
-                keys.push(family);
-            }
-            of[p as usize] = (keys.len() - 1) as u32;
-        }
         Arc::new(Families { of, keys })
     }
 }
