@@ -223,6 +223,25 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// [`put_str`] of miner `i`'s default name `p{i}`, its digits written
+/// right to left on the stack (a 100k-miner encode formats no strings).
+fn put_default_name(out: &mut Vec<u8>, mut i: usize) {
+    let mut name = [0u8; 21]; // 'p' + the 20 digits of `usize::MAX`
+    let mut start = name.len();
+    loop {
+        start -= 1;
+        name[start] = b'0' + (i % 10) as u8;
+        i /= 10;
+        if i == 0 {
+            break;
+        }
+    }
+    start -= 1;
+    name[start] = b'p';
+    put_u64(out, (name.len() - start) as u64);
+    out.extend_from_slice(&name[start..]);
+}
+
 /// Cursor over an untrusted buffer. Every read is bounds-checked and
 /// every length/count field is validated against the bytes actually
 /// remaining *before* any allocation, so a corrupt length cannot
@@ -384,7 +403,10 @@ impl Snapshot {
         put_u64(&mut payload, n as u64);
         put_u64(&mut payload, k as u64);
         for miner in system.miners() {
-            put_str(&mut payload, miner.name());
+            match miner.custom_name() {
+                Some(name) => put_str(&mut payload, name),
+                None => put_default_name(&mut payload, miner.id().index()),
+            }
             put_u64(&mut payload, system.power_of(miner.id()));
         }
         for coin in system.coins() {
@@ -977,5 +999,62 @@ mod tests {
             Err(SnapshotError::GameMismatch)
         ));
         assert!(snap.fork_into(&game).is_ok());
+    }
+
+    /// Encodes a four-miner game with the given (optional) miner names,
+    /// decodes it, and returns the original, the decoded game and the
+    /// bytes.
+    fn named_round_trip(names: [Option<&str>; 4]) -> (Game, Game, Vec<u8>) {
+        let mut builder = SystemBuilder::new();
+        for (name, power) in names.into_iter().zip([5, 3, 2, 1]) {
+            match name {
+                Some(name) => builder.named_miner(name, power),
+                None => builder.miner_with_power(power),
+            };
+        }
+        let system = builder.coin().coin().build().unwrap();
+        let game = Game::new(system, Rewards::from_integers(&[3, 2]).unwrap()).unwrap();
+        let bytes = Snapshot::of(&tracker_fixture(&game)).encode();
+        let decoded = Snapshot::try_from(bytes.as_slice()).unwrap().game().clone();
+        (game, decoded, bytes)
+    }
+
+    fn miner_names(game: &Game) -> Vec<String> {
+        let miners = game.system().miners();
+        miners.iter().map(|m| m.name().into_owned()).collect()
+    }
+
+    #[test]
+    fn default_names_encode_as_their_strings() {
+        for i in [0, 9, 10, 99, 100, 12_345, usize::MAX] {
+            let (mut derived, mut written) = (Vec::new(), Vec::new());
+            put_default_name(&mut derived, i);
+            put_str(&mut written, &format!("p{i}"));
+            assert_eq!(derived, written, "miner {i}");
+        }
+    }
+
+    #[test]
+    fn default_miner_names_round_trip() {
+        let (game, decoded, _) = named_round_trip([None; 4]);
+        assert_eq!(decoded, game);
+        assert_eq!(miner_names(&decoded), ["p0", "p1", "p2", "p3"]);
+    }
+
+    #[test]
+    fn custom_miner_names_round_trip() {
+        let (game, decoded, _) = named_round_trip([Some("whale"), None, Some("p1"), Some("")]);
+        assert_eq!(decoded, game);
+        assert_eq!(miner_names(&decoded), ["whale", "p1", "p1", ""]);
+    }
+
+    #[test]
+    fn a_custom_name_equal_to_the_default_encodes_as_the_default() {
+        let (game, decoded, bytes) = named_round_trip([Some("p0"), None, Some("p2"), Some("p3")]);
+        let (unnamed, _, unnamed_bytes) = named_round_trip([None; 4]);
+        assert_eq!(game, unnamed);
+        assert_eq!(decoded, game);
+        assert_eq!(bytes, unnamed_bytes);
+        assert_eq!(miner_names(&decoded), ["p0", "p1", "p2", "p3"]);
     }
 }

@@ -1,6 +1,7 @@
 //! The system `⟨Π, C⟩`: a finite set of miners with mining powers and a
 //! finite set of coins (paper §2).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,10 +62,13 @@ impl fmt::Display for Power {
 }
 
 /// A miner (player) in the system.
+///
+/// A miner with the default name `p{id}` stores no string: a
+/// 100k-miner universe holds no per-miner heap allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Miner {
     id: MinerId,
-    name: String,
+    name: Option<String>,
     power: Power,
 }
 
@@ -74,9 +78,17 @@ impl Miner {
         self.id
     }
 
-    /// The miner's display name.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// The miner's display name: the one it was built with, or `p{id}`.
+    pub fn name(&self) -> Cow<'_, str> {
+        match &self.name {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(format!("p{}", self.id.index())),
+        }
+    }
+
+    /// The name the miner was built with, `None` for the default `p{id}`.
+    pub(crate) fn custom_name(&self) -> Option<&str> {
+        self.name.as_deref()
     }
 
     /// The miner's mining power.
@@ -137,14 +149,11 @@ impl System {
     ///
     /// Propagates [`SystemBuilder::build`] validation errors.
     pub fn new(powers: &[u64], num_coins: usize) -> Result<Arc<Self>, GameError> {
-        let mut b = SystemBuilder::new();
-        for &p in powers {
-            b.miner_with_power(p);
+        SystemBuilder {
+            miners: powers.iter().map(|&p| (None, p)).collect(),
+            coins: vec![None; num_coins],
         }
-        for _ in 0..num_coins {
-            b.coin();
-        }
-        b.build()
+        .build()
     }
 
     /// The miners, ordered by [`MinerId`].
@@ -283,7 +292,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Validates and builds the [`System`].
+    /// Validates and builds the [`System`]. A miner named exactly its
+    /// default `p{i}` is stored unnamed, so a system equals itself
+    /// decoded from any codec that writes every name.
     ///
     /// # Errors
     ///
@@ -308,7 +319,7 @@ impl SystemBuilder {
             total_power += u128::from(power.get());
             miners.push(Miner {
                 id,
-                name: name.clone().unwrap_or_else(|| format!("p{i}")),
+                name: name.as_ref().filter(|n| !is_default_name(n, i)).cloned(),
                 power,
             });
         }
@@ -327,6 +338,15 @@ impl SystemBuilder {
             total_power,
         }))
     }
+}
+
+/// Whether `name` is the default name `p{i}` of miner `i`.
+fn is_default_name(name: &str, i: usize) -> bool {
+    name.strip_prefix('p').is_some_and(|digits| {
+        digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'))
+            && digits.parse() == Ok(i)
+    })
 }
 
 #[cfg(test)]
@@ -397,5 +417,66 @@ mod tests {
         assert_eq!(s.coins()[1].name(), "c1");
         assert_eq!(s.miners()[0].id(), MinerId(0));
         assert_eq!(s.coins()[1].id(), CoinId(1));
+    }
+
+    /// Builds a three-miner system with the given (optional) names.
+    fn named_system(names: [Option<&str>; 3]) -> Arc<System> {
+        let mut b = SystemBuilder::new();
+        for (name, power) in names.into_iter().zip([4, 2, 1]) {
+            match name {
+                Some(name) => b.named_miner(name, power),
+                None => b.miner_with_power(power),
+            };
+        }
+        b.coin().build().unwrap()
+    }
+
+    fn names(s: &System) -> Vec<String> {
+        s.miners().iter().map(|m| m.name().into_owned()).collect()
+    }
+
+    #[test]
+    fn default_names_are_derived_not_stored() {
+        let s = named_system([None; 3]);
+        assert_eq!(names(&s), ["p0", "p1", "p2"]);
+        assert!(s.miners().iter().all(|m| m.name.is_none()));
+        let json = serde_json::to_string(&*s).unwrap();
+        assert_eq!(serde_json::from_str::<System>(&json).unwrap(), *s);
+    }
+
+    #[test]
+    fn custom_names_are_kept() {
+        // `p01` at index 1 and `p1` at index 2 are not default names.
+        let s = named_system([Some("alice"), Some("p01"), Some("p1")]);
+        assert_eq!(names(&s), ["alice", "p01", "p1"]);
+        assert!(s.miners().iter().all(|m| m.name.is_some()));
+        let json = serde_json::to_string(&*s).unwrap();
+        assert_eq!(serde_json::from_str::<System>(&json).unwrap(), *s);
+    }
+
+    #[test]
+    fn a_custom_name_equal_to_the_default_is_the_default() {
+        let named = named_system([Some("p0"), Some("bob"), Some("p2")]);
+        let unnamed = named_system([None, Some("bob"), None]);
+        assert_eq!(named, unnamed);
+        assert_eq!(names(&named), ["p0", "bob", "p2"]);
+        assert!(named.miners()[0].name.is_none());
+        assert!(named.miners()[2].name.is_none());
+    }
+
+    #[test]
+    fn default_name_test_is_exact() {
+        assert!(is_default_name("p0", 0));
+        assert!(is_default_name("p12", 12));
+        for (name, i) in [
+            ("p", 0),
+            ("p00", 0),
+            ("p012", 12),
+            ("p+1", 1),
+            ("q1", 1),
+            ("p1", 2),
+        ] {
+            assert!(!is_default_name(name, i), "{name} at {i}");
+        }
     }
 }

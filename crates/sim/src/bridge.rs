@@ -9,7 +9,6 @@
 //! cross-validation experiment compare mechanistic steady states with
 //! game-theoretic equilibria.
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use goc_game::{CoinId, Configuration, Delta, Game, GameError, MinerId, Rewards, System};
@@ -177,16 +176,24 @@ pub fn churn_timeline(spec: &ScenarioSpec) -> Result<Vec<(f64, Delta)>, SpecErro
 /// [`churn_timeline`]: walks the effectiveness-filtered event stream,
 /// mapping arrivals to the smallest dormant id of the cohort (departed
 /// initial rigs are reused before the reserve) and departures to the
-/// youngest active rig.
+/// youngest active rig. A cohort's active rigs are therefore always the
+/// first `active[j]` ids of its initial range followed by its reserve,
+/// so one count per cohort addresses every event.
 fn lower_timeline(
     spec: &ScenarioSpec,
     initial_range: &[Range<usize>],
     reserve_range: &[Range<usize>],
 ) -> Vec<(f64, Delta)> {
-    let mut active_ids: Vec<BTreeSet<usize>> =
-        initial_range.iter().map(|r| r.clone().collect()).collect();
-    let mut dormant_ids: Vec<BTreeSet<usize>> =
-        reserve_range.iter().map(|r| r.clone().collect()).collect();
+    // The universe id at position `i` of cohort `j`'s initial range
+    // followed by its reserve.
+    let id = |j: usize, i: usize| {
+        let initial = &initial_range[j];
+        MinerId(match i.checked_sub(initial.len()) {
+            None => initial.start + i,
+            Some(extra) => reserve_range[j].start + extra,
+        })
+    };
+    let mut active: Vec<usize> = initial_range.iter().map(Range::len).collect();
     let timeline = spec
         .churn
         .as_ref()
@@ -196,26 +203,30 @@ fn lower_timeline(
     for (t, event) in timeline {
         match event {
             SimChurn::RigJoin { agent, .. } => {
-                let Some(&id) = dormant_ids[agent].iter().next() else {
+                let n = active[agent];
+                if n == initial_range[agent].len() + reserve_range[agent].len() {
                     continue; // cannot happen: the timeline is effective
-                };
-                dormant_ids[agent].remove(&id);
-                active_ids[agent].insert(id);
+                }
+                active[agent] += 1;
                 deltas.push((
                     t,
                     Delta::InsertMiner {
-                        miner: MinerId(id),
+                        miner: id(agent, n),
                         coin: None,
                     },
                 ));
             }
             SimChurn::RigLeave { agent, .. } => {
-                let Some(&id) = active_ids[agent].iter().next_back() else {
+                let Some(n) = active[agent].checked_sub(1) else {
                     continue;
                 };
-                active_ids[agent].remove(&id);
-                dormant_ids[agent].insert(id);
-                deltas.push((t, Delta::RemoveMiner { miner: MinerId(id) }));
+                active[agent] = n;
+                deltas.push((
+                    t,
+                    Delta::RemoveMiner {
+                        miner: id(agent, n),
+                    },
+                ));
             }
             SimChurn::Coin { coin, live } => {
                 let coin = CoinId(coin);
@@ -269,43 +280,40 @@ pub fn churn_time_zero(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniv
     time_zero(spec, resolution)
 }
 
-/// [`churn_time_zero`] over a validated spec.
-fn time_zero(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniverse, SpecError> {
-    // Initial rigs: the expanded per-rig population with its assignment.
-    let expanded = spec.expanded();
-    let mut rigs = expanded.miners.agents();
-    expanded.assign(&mut rigs);
-    let initial_miners = rigs.len();
-    let k = spec.chains.len();
-
-    // Per-cohort universe id ranges (see `universe_ranges` — the layout
-    // `churn_timeline` also addresses).
-    let cohorts = match &spec.miners {
-        MinerSpec::Cohorts(c) => c.as_slice(),
-        _ => &[],
+/// The universe as runs of identical rigs, `(hashrate, coin, count)`,
+/// in id order, plus the initial head-count. A cohort population is one
+/// run per cohort, on the coin the assignment gave the cohort (where
+/// [`ScenarioSpec::expanded`] puts its rigs), then one run per churn
+/// reserve, on the cohort's own coin (the layout of `universe_ranges`).
+/// Any other population is one run per rig.
+fn rig_runs(spec: &ScenarioSpec) -> (Vec<(f64, usize, usize)>, usize) {
+    let mut agents = spec.miners.agents();
+    spec.assign(&mut agents);
+    let MinerSpec::Cohorts(cohorts) = &spec.miners else {
+        let runs: Vec<_> = agents.iter().map(|a| (a.hashrate, a.coin, 1)).collect();
+        let initial_miners = runs.len();
+        return (runs, initial_miners);
     };
-    let (_, reserve_range) = universe_ranges(spec);
-    let churn_cohorts = spec
-        .churn
-        .as_ref()
-        .map(|c| c.cohorts.as_slice())
-        .unwrap_or(&[]);
-    let mut universe = rigs.clone();
-    for entry in churn_cohorts {
+    let mut runs: Vec<_> = cohorts
+        .iter()
+        .zip(&agents)
+        .map(|(cohort, agent)| (cohort.hashrate, agent.coin, cohort.count))
+        .collect();
+    let initial_miners = spec.miners.count();
+    let churn_cohorts = spec.churn.iter().flat_map(|c| &c.cohorts);
+    runs.extend(churn_cohorts.map(|entry| {
         let cohort = &cohorts[entry.cohort];
-        debug_assert_eq!(reserve_range[entry.cohort].start, universe.len());
         // Reserve rigs share the cohort's class and point at its coin;
         // they are dormant until an arrival activates them.
-        let template = crate::agent::MinerAgent {
-            hashrate: cohort.hashrate,
-            coin: cohort.coin,
-            eval_interval: cohort.eval_hours * 3600.0,
-            inertia: cohort.inertia,
-            cost_per_hash: cohort.cost_per_hash,
-            active: false,
-        };
-        universe.extend(std::iter::repeat_n(template, entry.max_extra));
-    }
+        (cohort.hashrate, cohort.coin, entry.max_extra)
+    }));
+    (runs, initial_miners)
+}
+
+/// [`churn_time_zero`] over a validated spec.
+fn time_zero(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniverse, SpecError> {
+    let (runs, initial_miners) = rig_runs(spec);
+    let k = spec.chains.len();
 
     // Quantize the whole universe with one scale, as snapshot_game does.
     let weights: Vec<f64> = spec
@@ -319,26 +327,30 @@ fn time_zero(spec: &ScenarioSpec, resolution: f64) -> Result<ChurnUniverse, Spec
         .iter()
         .map(|w| ((w * reward_scale).round() as u64).max(1))
         .collect();
-    let max_hash = universe.iter().map(|a| a.hashrate).fold(f64::MIN, f64::max);
-    let power_scale = 1.0 / (max_hash * resolution);
-    let powers: Vec<u64> = universe
+    let max_hash = runs
         .iter()
-        .map(|a| ((a.hashrate * power_scale).round() as u64).max(1))
-        .collect();
+        .filter(|&&(_, _, count)| count > 0)
+        .map(|&(hashrate, _, _)| hashrate)
+        .fold(f64::MIN, f64::max);
+    let power_scale = 1.0 / (max_hash * resolution);
+    let universe: usize = runs.iter().map(|&(_, _, count)| count).sum();
+    let mut powers = Vec::with_capacity(universe);
+    let mut coins = Vec::with_capacity(universe);
+    for &(hashrate, coin, count) in &runs {
+        let power = ((hashrate * power_scale).round() as u64).max(1);
+        powers.extend(std::iter::repeat_n(power, count));
+        coins.extend(std::iter::repeat_n(CoinId(coin), count));
+    }
     let system = System::new(&powers, k).map_err(|e| SpecError::Game(e.to_string()))?;
     let game = Game::new(
         system,
         Rewards::from_integers(&rewards).map_err(|e| SpecError::Game(e.to_string()))?,
     )
     .map_err(|e| SpecError::Game(e.to_string()))?;
-    let start = Configuration::new(
-        universe.iter().map(|a| CoinId(a.coin)).collect(),
-        game.system(),
-    )
-    .map_err(|e| SpecError::Game(e.to_string()))?;
+    let start =
+        Configuration::new(coins, game.system()).map_err(|e| SpecError::Game(e.to_string()))?;
 
-    let mut miner_active = vec![true; initial_miners];
-    miner_active.resize(universe.len(), false);
+    let miner_active = (0..universe).map(|p| p < initial_miners).collect();
     let coin_active = match &spec.churn {
         Some(churn) => churn.initial_live(k),
         None => vec![true; k],
@@ -445,6 +457,189 @@ mod tests {
         assert_eq!(zero.miner_active, universe.miner_active);
         assert_eq!(zero.coin_active, universe.coin_active);
         assert_eq!(zero.initial_miners, universe.initial_miners);
+    }
+
+    /// The reference lowering: one id set of active and one of dormant
+    /// rigs per cohort, arrivals taking the smallest dormant id and
+    /// departures the largest active one.
+    fn lower_with_id_sets(spec: &ScenarioSpec) -> Vec<(f64, Delta)> {
+        use std::collections::BTreeSet; // allow-collection: the reference lowering
+        let ids = |r: &Range<usize>| r.clone().collect::<BTreeSet<_>>(); // allow-collection: the reference lowering
+        let (initial_range, reserve_range) = universe_ranges(spec);
+        let mut active_ids: Vec<_> = initial_range.iter().map(ids).collect();
+        let mut dormant_ids: Vec<_> = reserve_range.iter().map(ids).collect();
+        let timeline = spec.churn.as_ref().map(|c| c.timeline(spec));
+        let mut deltas = Vec::new();
+        for (t, event) in timeline.unwrap_or_default() {
+            let delta = match event {
+                SimChurn::RigJoin { agent, .. } => {
+                    let id = dormant_ids[agent].pop_first().expect("effective timeline");
+                    active_ids[agent].insert(id);
+                    Delta::InsertMiner {
+                        miner: MinerId(id),
+                        coin: None,
+                    }
+                }
+                SimChurn::RigLeave { agent, .. } => {
+                    let id = active_ids[agent].pop_last().expect("effective timeline");
+                    dormant_ids[agent].insert(id);
+                    Delta::RemoveMiner { miner: MinerId(id) }
+                }
+                SimChurn::Coin { coin, live: true } => Delta::LaunchCoin { coin: CoinId(coin) },
+                SimChurn::Coin { coin, .. } => Delta::RetireCoin { coin: CoinId(coin) },
+            };
+            deltas.push((t, delta));
+        }
+        deltas
+    }
+
+    #[test]
+    fn count_lowering_matches_the_id_set_reference() {
+        let (mut emptied, mut reused_initial, mut used_reserve) = (0, 0, 0);
+        for n in [8, 16, 24, 100, 333, 1000, 5000] {
+            for turnover in [5, 20, 50, 80] {
+                for seed in [1, 7, 42] {
+                    let spec = crate::fixtures::scale_churn_scenario(n, 30.0, seed, turnover);
+                    let timeline = churn_timeline(&spec).expect("timeline lowers");
+                    assert_eq!(
+                        timeline,
+                        lower_with_id_sets(&spec),
+                        "n {n}, turnover {turnover}%, seed {seed}"
+                    );
+                    // Coverage: a cohort runs dry, a departed initial rig
+                    // comes back before the reserve, and the reserve is
+                    // reached.
+                    let (initial_range, reserve_range) = universe_ranges(&spec);
+                    let cohort_of = |id: usize| {
+                        (0..initial_range.len())
+                            .find(|&j| {
+                                initial_range[j].contains(&id) || reserve_range[j].contains(&id)
+                            })
+                            .expect("every churned id is in a cohort")
+                    };
+                    let mut active: Vec<usize> = initial_range.iter().map(Range::len).collect();
+                    for (_, delta) in &timeline {
+                        match *delta {
+                            Delta::InsertMiner { miner, .. } => {
+                                active[cohort_of(miner.index())] += 1;
+                                if miner.index() < spec.miners.count() {
+                                    reused_initial += 1;
+                                } else {
+                                    used_reserve += 1;
+                                }
+                            }
+                            Delta::RemoveMiner { miner } => {
+                                let j = cohort_of(miner.index());
+                                active[j] -= 1;
+                                emptied += usize::from(active[j] == 0);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(emptied > 0, "no case empties a cohort");
+        assert!(reused_initial > 0, "no case reuses a departed initial rig");
+        assert!(used_reserve > 0, "no case reaches a reserve");
+    }
+
+    /// The reference time-zero universe: every rig expanded from
+    /// [`ScenarioSpec::expanded`] into its own agent, reserves appended.
+    fn time_zero_from_expanded_rigs(spec: &ScenarioSpec, resolution: f64) -> ChurnUniverse {
+        let expanded = spec.expanded();
+        let mut universe = expanded.miners.agents();
+        expanded.assign(&mut universe);
+        let initial_miners = universe.len();
+        if let (MinerSpec::Cohorts(cohorts), Some(churn)) = (&spec.miners, &spec.churn) {
+            for entry in &churn.cohorts {
+                let cohort = &cohorts[entry.cohort];
+                let template = crate::agent::MinerAgent {
+                    hashrate: cohort.hashrate,
+                    coin: cohort.coin,
+                    active: false,
+                    ..Default::default()
+                };
+                universe.extend(std::iter::repeat_n(template, entry.max_extra));
+            }
+        }
+        let max_hash = universe.iter().map(|a| a.hashrate).fold(f64::MIN, f64::max);
+        let power_scale = 1.0 / (max_hash * resolution);
+        let powers: Vec<u64> = universe
+            .iter()
+            .map(|a| ((a.hashrate * power_scale).round() as u64).max(1))
+            .collect();
+        let weights: Vec<f64> = spec.chains.iter().map(|c| c.weight()).collect();
+        let max_weight = weights.iter().cloned().fold(f64::MIN, f64::max);
+        let rewards: Vec<u64> = weights
+            .iter()
+            .map(|w| ((w / (max_weight * resolution)).round() as u64).max(1))
+            .collect();
+        let game = Game::build(&powers, &rewards).expect("reference game builds");
+        let coins = universe.iter().map(|a| CoinId(a.coin)).collect();
+        let start = Configuration::new(coins, game.system()).expect("reference start");
+        let k = spec.chains.len();
+        ChurnUniverse {
+            game,
+            start,
+            miner_active: universe.iter().map(|a| a.active).collect(),
+            coin_active: spec
+                .churn
+                .as_ref()
+                .map_or(vec![true; k], |c| c.initial_live(k)),
+            deltas: Vec::new(),
+            initial_miners,
+        }
+    }
+
+    #[test]
+    fn time_zero_from_runs_matches_the_expanded_rigs() {
+        use crate::spec::{Assignment, ChurnSpec};
+        let cohort = crate::fixtures::scale_churn_scenario(1000, 30.0, 5, 20);
+        let plain = crate::fixtures::scale_cohort_scenario(77, 5.0, 3);
+        let value_share = ScenarioSpec {
+            assignment: Assignment::ValueShare,
+            ..plain.clone()
+        };
+        // Non-cohort populations keep the coin lifecycle, not the rig
+        // churn (which needs cohorts).
+        let coin_churn = cohort.churn.as_ref().map(|c| ChurnSpec {
+            cohorts: Vec::new(),
+            coins: c.coins.clone(),
+        });
+        let explicit = ScenarioSpec {
+            churn: coin_churn.clone(),
+            ..cohort.expanded()
+        };
+        let zipf = ScenarioSpec {
+            miners: MinerSpec::Zipf {
+                count: 500,
+                exponent: 1.1,
+                scale: 3_400.0,
+                eval_hours: 4.0,
+                inertia: 0.02,
+                cost_per_hash: 0.0,
+            },
+            assignment: Assignment::Split { boundary: 150 },
+            churn: coin_churn,
+            ..cohort.clone()
+        };
+        for (name, spec) in [
+            ("cohort", &cohort),
+            ("value-share cohort", &value_share),
+            ("churn-free cohort", &plain),
+            ("explicit", &explicit),
+            ("zipf", &zipf),
+        ] {
+            spec.validate().expect(name);
+            let runs = churn_time_zero(spec, 1e-4).expect(name);
+            let rigs = time_zero_from_expanded_rigs(spec, 1e-4);
+            assert_eq!(runs.game, rigs.game, "{name}: powers and rewards");
+            assert_eq!(runs.start, rigs.start, "{name}: start configuration");
+            assert_eq!(runs.miner_active, rigs.miner_active, "{name}: miner mask");
+            assert_eq!(runs.coin_active, rigs.coin_active, "{name}: coin mask");
+            assert_eq!(runs.initial_miners, rigs.initial_miners, "{name}");
+        }
     }
 
     #[test]

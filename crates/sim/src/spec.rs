@@ -1155,8 +1155,8 @@ impl ScenarioSpec {
             // Cohort churn processes do not survive expansion (the
             // per-rig population has no cohorts to index); the coin
             // lifecycle does. The game-side churn view is
-            // `bridge::churn_universe`, which expands *and* lowers the
-            // full timeline.
+            // `bridge::churn_universe`, which builds the same rigs from
+            // per-cohort runs *and* lowers the full timeline.
             churn: self.churn.as_ref().map(|c| ChurnSpec {
                 cohorts: Vec::new(),
                 coins: c.coins.clone(),
