@@ -23,11 +23,11 @@
 //!
 //! A snapshot builds trackers the way [`MassTracker::new`] does, through
 //! the tracker's one bulk loader: [`Snapshot::fork_at`] is a fresh build
-//! at a new start, while [`Snapshot::fork`], [`Snapshot::fork_into`] and
-//! decoding restore the captured class table and cursor. A snapshot
-//! shares the captured tracker's strategic families (its miners
-//! numbered by `(power, restriction)`), so no fork sorts the population
-//! again; only decoding derives them anew.
+//! at a new start, while [`Snapshot::fork`] and decoding restore the
+//! captured class table and cursor. A snapshot shares the captured
+//! tracker's strategic families (its miners numbered by
+//! `(power, restriction)`), so neither fork sorts the population again;
+//! only decoding derives them anew.
 //!
 //! # Wire format (version 1)
 //!
@@ -126,9 +126,6 @@ pub enum SnapshotError {
         /// Human-readable description of the inconsistency.
         reason: String,
     },
-    /// A fork was asked to target a [`Game`] that differs from the
-    /// snapshot's own.
-    GameMismatch,
     /// Rebuilding the model from decoded fields failed validation.
     Game(GameError),
 }
@@ -164,9 +161,6 @@ impl fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Corrupted { reason } => write!(f, "corrupted snapshot: {reason}"),
-            SnapshotError::GameMismatch => {
-                write!(f, "fork target game differs from the snapshot's game")
-            }
             SnapshotError::Game(e) => write!(f, "snapshot state fails validation: {e}"),
         }
     }
@@ -458,30 +452,15 @@ impl Snapshot {
     /// to the original's. The fork starts with an empty undo stack and
     /// recording enabled.
     pub fn fork(&self) -> MassTracker<'_> {
-        self.fork_into(&self.game)
-            .expect("a snapshot forks onto its own game")
-    }
-
-    /// Like [`Snapshot::fork`], but the tracker borrows `game` (which
-    /// must equal the snapshot's game — callers that hold one shared
-    /// `Game` for many forks use this to avoid tying every fork to the
-    /// snapshot's lifetime).
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::GameMismatch`] if `game` differs.
-    pub fn fork_into<'g>(&self, game: &'g Game) -> Result<MassTracker<'g>, SnapshotError> {
-        if *game != self.game {
-            return Err(SnapshotError::GameMismatch);
-        }
         MassTracker::load(
-            game,
+            &self.game,
             Arc::clone(&self.families),
             self.config.clone(),
             self.miner_active.clone(),
             self.coin_active.clone(),
             Some((&self.keys, self.cursor)),
         )
+        .expect("a snapshot restores the state it captured")
     }
 
     /// Spawns a tracker over the snapshot's game and activity masks but
@@ -986,19 +965,6 @@ mod tests {
             let bad = with_class_table(&bytes, groups, |keys, _| keys.push(key));
             assert!(corrupted_reason(&bad).contains(named), "{key:?}");
         }
-    }
-
-    #[test]
-    fn fork_into_rejects_a_different_game() {
-        let game = Game::build(&[2, 1], &[1, 1]).unwrap();
-        let other = Game::build(&[2, 1], &[2, 1]).unwrap();
-        let tracker = tracker_fixture(&game);
-        let snap = Snapshot::of(&tracker);
-        assert!(matches!(
-            snap.fork_into(&other),
-            Err(SnapshotError::GameMismatch)
-        ));
-        assert!(snap.fork_into(&game).is_ok());
     }
 
     /// Encodes a four-miner game with the given (optional) miner names,

@@ -23,9 +23,9 @@
 
 use std::fmt;
 
-use goc_game::{Configuration, Delta, Game, GameError, MassTracker, Move, MoveSource, Snapshot};
+use goc_game::{Configuration, Delta, Game, GameError, MassTracker, Move, MoveSource};
 
-use crate::instrument::{Instrument, NoInstrument};
+use crate::instrument::StepObserver;
 use crate::scheduler::{Scheduler, SchedulerError};
 
 /// One scheduled churn delta of a learning run: `delta` arrives once the
@@ -167,10 +167,6 @@ pub enum LearningError {
         /// The underlying delta validation error.
         error: GameError,
     },
-    /// [`Dynamics::from_snapshot`] was given a snapshot whose game does
-    /// not equal the builder's game — the fork would evaluate the wrong
-    /// payoffs.
-    SnapshotMismatch,
     /// The starting state does not fit the game: the start configuration
     /// is not one of the game's system, or the churn plan's time-zero
     /// activity masks do not cover the universe or contradict the start.
@@ -178,9 +174,8 @@ pub enum LearningError {
         /// What does not fit.
         reason: String,
     },
-    /// [`Dynamics::run`] was called without a starting state: none of
-    /// [`Dynamics::start`], [`Dynamics::from_snapshot`], or
-    /// [`Dynamics::from_tracker`] was provided.
+    /// [`Dynamics::run`] was called without a starting state: neither
+    /// [`Dynamics::start`] nor [`Dynamics::from_tracker`] was provided.
     MissingStart,
 }
 
@@ -198,18 +193,9 @@ impl fmt::Display for LearningError {
             LearningError::ChurnRejected { step, error } => {
                 write!(f, "churn delta rejected at step {step}: {error}")
             }
-            LearningError::SnapshotMismatch => {
-                write!(
-                    f,
-                    "snapshot captures a different game than the dynamics run"
-                )
-            }
             LearningError::InvalidStart { reason } => write!(f, "invalid start: {reason}"),
             LearningError::MissingStart => {
-                write!(
-                    f,
-                    "dynamics need a starting state (start, from_snapshot, or from_tracker)"
-                )
+                write!(f, "dynamics need a starting state (start or from_tracker)")
             }
         }
     }
@@ -266,42 +252,16 @@ pub fn run_with_churn(
         .run()
 }
 
-/// A periodic checkpoint sink for long churny runs: every `every`
-/// better-response steps the engine captures the tracker as a
-/// [`Snapshot`] and hands it (with the step count) to `sink`. Encode
-/// the snapshot to persist it; decode + [`Snapshot::fork`] +
-/// [`run_incremental_from`] warm-starts the run from where the
-/// checkpoint left off.
-pub struct CheckpointHook<'a> {
-    /// Steps between checkpoints (values below 1 behave as 1).
-    pub every: usize,
-    /// Receives `(steps_so_far, snapshot)` at each checkpoint.
-    pub sink: &'a mut dyn FnMut(usize, Snapshot),
-}
-
-/// A checkpoint hook is an [`Instrument`] that only listens for
-/// checkpoints.
-impl Instrument for CheckpointHook<'_> {
-    fn checkpoint_every(&self) -> usize {
-        self.every.max(1)
-    }
-
-    fn on_checkpoint(&mut self, step: usize, snapshot: &Snapshot) {
-        (self.sink)(step, snapshot.clone());
-    }
-}
-
 /// **Warm-start** run without a scheduler: continues the tracker's group
-/// round-robin from an existing tracker — a [`Snapshot`] fork, a
-/// checkpoint restore, or any tracker mid-dynamics — instead of
+/// round-robin from an existing tracker — a [`Snapshot`] fork or any
+/// tracker mid-dynamics — instead of
 /// building one from a start configuration. The plan's activity masks
 /// are **ignored** (the tracker already carries its activity state);
 /// only the delta stream and the plan's triviality (which decides
 /// whether `final_activity` is reported) are consulted. Undo recording
 /// is switched off for the duration, as in every [`Dynamics`] run.
 ///
-/// Passing a hook checkpoints the run periodically (see
-/// [`CheckpointHook`]).
+/// Passing an observer watches every step (see [`StepObserver`]).
 ///
 /// # Errors
 ///
@@ -322,20 +282,20 @@ impl Instrument for CheckpointHook<'_> {
 /// assert!(game.is_stable(&outcome.final_config));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// [`Snapshot`]: goc_game::Snapshot
 pub fn run_incremental_from<'g, 'a>(
     tracker: MassTracker<'g>,
     options: LearningOptions,
     plan: &'a ChurnPlan,
-    mut hook: Option<CheckpointHook<'a>>,
+    observer: Option<&'a mut StepObserver<'a>>,
 ) -> Result<LearningOutcome, LearningError> {
-    let dynamics = Dynamics::new(tracker.game())
+    let mut dynamics = Dynamics::new(tracker.game())
         .from_tracker(tracker)
         .options(options)
         .churn(plan);
-    match hook.as_mut() {
-        Some(hook) => dynamics.instrument(hook).run(),
-        None => dynamics.run(),
-    }
+    dynamics.observer = observer;
+    dynamics.run()
 }
 
 /// Who moves next — the only thing that differs between better-response
@@ -432,13 +392,12 @@ fn engine<'g>(
     mut finder: impl MoveFinder<'g>,
     options: LearningOptions,
     plan: &ChurnPlan,
-    instrument: &mut dyn Instrument,
+    mut observer: Option<&mut StepObserver<'_>>,
 ) -> Result<LearningOutcome, LearningError> {
     // Application order: by `at_step`, ties in list order (stable sort).
     let mut events = plan.events.clone();
     events.sort_by_key(|event| event.at_step);
     let mut pending = events.into_iter().peekable();
-    let every = instrument.checkpoint_every();
     let mut churn_applied = 0usize;
     let mut path = Vec::new();
     let mut steps = 0usize;
@@ -465,11 +424,10 @@ fn engine<'g>(
             if options.record_path {
                 path.push(mv);
             }
-            instrument.on_step(finder.tracker().config(), mv);
-            steps += 1;
-            if every > 0 && steps.is_multiple_of(every) {
-                instrument.on_checkpoint(steps, &Snapshot::of(finder.tracker()));
+            if let Some(observer) = observer.as_mut() {
+                observer(finder.tracker().config(), mv);
             }
+            steps += 1;
             continue;
         } else if let Some(event) = pending.next() {
             // Stable, but more churn is scheduled: fast-forward to the
@@ -483,7 +441,6 @@ fn engine<'g>(
             .churn(event.delta)
             .map_err(|error| LearningError::ChurnRejected { step: steps, error })?;
         churn_applied += 1;
-        instrument.on_delta(steps, event.delta);
     };
 
     let final_activity = (!plan.is_trivial()).then(|| {
@@ -534,17 +491,16 @@ fn start_tracker<'g>(
 
 /// The **single entry point** of the learning engine: a builder that
 /// assembles a better-response run from its independent ingredients —
-/// where to start (a configuration, a [`Snapshot`], or a live
-/// [`MassTracker`]), who picks the moves (a [`Scheduler`], or the
+/// where to start (a configuration, or a live [`MassTracker`] such as
+/// a [`Snapshot`] fork), who picks the moves (a [`Scheduler`], or the
 /// tracker's own group round-robin when none is given), what churns
-/// (a [`ChurnPlan`]), and what watches (an [`Instrument`] — per-step,
-/// per-delta, and periodic-checkpoint callbacks in one trait).
+/// (a [`ChurnPlan`]), and what watches (a [`StepObserver`] closure).
 ///
-/// Starting-state precedence when several are set:
-/// [`Dynamics::from_tracker`] > [`Dynamics::from_snapshot`] >
-/// [`Dynamics::start`]. With a tracker or snapshot start, the churn
-/// plan's activity *masks* are ignored (the forked state already
-/// carries its activity); only the delta stream is consulted.
+/// When both starts are set, [`Dynamics::from_tracker`] wins over
+/// [`Dynamics::start`]. With a tracker start, the churn plan's activity
+/// *masks* are ignored (the tracker already carries its activity); only
+/// the delta stream is consulted. A warm start from a snapshot is
+/// `from_tracker(snapshot.fork())`.
 ///
 /// # Examples
 ///
@@ -563,7 +519,7 @@ fn start_tracker<'g>(
 /// ```
 ///
 /// A scheduled run with a step observer (any
-/// `FnMut(&Configuration, Move)` closure is an [`Instrument`]):
+/// `FnMut(&Configuration, Move)` closure is a [`StepObserver`]):
 ///
 /// ```
 /// use goc_game::{CoinId, Configuration, Game, Move};
@@ -581,15 +537,16 @@ fn start_tracker<'g>(
 /// assert_eq!(trace.len(), outcome.steps);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+///
+/// [`Snapshot`]: goc_game::Snapshot
 pub struct Dynamics<'g, 'a> {
     game: &'g Game,
-    start: Option<Configuration>,
-    snapshot: Option<&'a Snapshot>,
+    start: Option<&'a Configuration>,
     tracker: Option<MassTracker<'g>>,
     scheduler: Option<&'a mut dyn Scheduler>,
     options: LearningOptions,
     plan: Option<&'a ChurnPlan>,
-    instrument: Option<&'a mut dyn Instrument>,
+    observer: Option<&'a mut StepObserver<'a>>,
 }
 
 impl<'g, 'a> Dynamics<'g, 'a> {
@@ -599,34 +556,28 @@ impl<'g, 'a> Dynamics<'g, 'a> {
         Dynamics {
             game,
             start: None,
-            snapshot: None,
             tracker: None,
             scheduler: None,
             options: LearningOptions::default(),
             plan: None,
-            instrument: None,
+            observer: None,
         }
     }
 
     /// Starts from `start` (validated against the game's system when the
     /// run launches; the churn plan's activity masks, if any, set the
-    /// time-zero universe state).
-    pub fn start(mut self, start: &Configuration) -> Self {
-        self.start = Some(start.clone());
+    /// time-zero universe state). The configuration is copied once, into
+    /// the tracker the run builds.
+    pub fn start(mut self, start: &'a Configuration) -> Self {
+        self.start = Some(start);
         self
     }
 
-    /// Warm-starts from a [`Snapshot`]: the run forks the captured
-    /// state onto the builder's game ([`LearningError::SnapshotMismatch`]
-    /// if they differ), resuming the round-robin exactly where the
-    /// original stood.
-    pub fn from_snapshot(mut self, snapshot: &'a Snapshot) -> Self {
-        self.snapshot = Some(snapshot);
-        self
-    }
-
-    /// Warm-starts from a live tracker — a [`Snapshot::fork`], a
-    /// checkpoint restore, or any tracker mid-dynamics.
+    /// Warm-starts from a live tracker — a [`Snapshot::fork`] (which
+    /// resumes the round-robin exactly where the captured tracker
+    /// stood) or any tracker mid-dynamics.
+    ///
+    /// [`Snapshot::fork`]: goc_game::Snapshot::fork
     pub fn from_tracker(mut self, tracker: MassTracker<'g>) -> Self {
         self.tracker = Some(tracker);
         self
@@ -653,16 +604,13 @@ impl<'g, 'a> Dynamics<'g, 'a> {
         self
     }
 
-    /// Threads `instrument` through the run — the one watching seam:
-    /// per-step, per-delta, and periodic-checkpoint callbacks in one
-    /// trait (see [`Instrument`]). Closures of the shape
-    /// `FnMut(&Configuration, Move)` are instruments via the blanket
-    /// impl, as is [`CheckpointHook`]. Run-level metrics and tracing
-    /// wrap the run instead ([`DynamicsObserver`]).
+    /// Calls `observer` after every applied move, with the configuration
+    /// after it — the one per-step watching seam. Run-level metrics and
+    /// tracing wrap the run instead ([`DynamicsObserver`]).
     ///
     /// [`DynamicsObserver`]: crate::instrument::DynamicsObserver
-    pub fn instrument(mut self, instrument: &'a mut dyn Instrument) -> Self {
-        self.instrument = Some(instrument);
+    pub fn instrument(mut self, observer: &'a mut StepObserver<'a>) -> Self {
+        self.observer = Some(observer);
         self
     }
 
@@ -673,8 +621,6 @@ impl<'g, 'a> Dynamics<'g, 'a> {
     /// * [`LearningError::MissingStart`] without a starting state.
     /// * [`LearningError::InvalidStart`] if a start configuration or the
     ///   plan's activity masks do not fit the game.
-    /// * [`LearningError::SnapshotMismatch`] if a snapshot start
-    ///   captures a different game.
     /// * [`LearningError::NotABetterResponse`] or
     ///   [`LearningError::SchedulerFailed`] if the scheduler misbehaves.
     /// * [`LearningError::PotentialViolation`] if auditing detects a
@@ -684,21 +630,13 @@ impl<'g, 'a> Dynamics<'g, 'a> {
     pub fn run(self) -> Result<LearningOutcome, LearningError> {
         let default_plan = ChurnPlan::default();
         let plan = self.plan.unwrap_or(&default_plan);
-        let mut tracker = if let Some(tracker) = self.tracker {
-            tracker
-        } else if let Some(snapshot) = self.snapshot {
-            snapshot
-                .fork_into(self.game)
-                .map_err(|_| LearningError::SnapshotMismatch)?
-        } else if let Some(start) = &self.start {
-            start_tracker(self.game, start, plan)?
-        } else {
-            return Err(LearningError::MissingStart);
+        let mut tracker = match (self.tracker, self.start) {
+            (Some(tracker), _) => tracker,
+            (None, Some(start)) => start_tracker(self.game, start, plan)?,
+            (None, None) => return Err(LearningError::MissingStart),
         };
         // The run never rewinds; don't retain an O(steps) undo history.
         tracker.set_undo_recording(false);
-        let mut unwatched = NoInstrument;
-        let instrument = self.instrument.unwrap_or(&mut unwatched);
         match self.scheduler {
             Some(scheduler) => {
                 let source = MoveSource::over(tracker);
@@ -706,10 +644,10 @@ impl<'g, 'a> Dynamics<'g, 'a> {
                     Scheduled { source, scheduler },
                     self.options,
                     plan,
-                    instrument,
+                    self.observer,
                 )
             }
-            None => engine(tracker, self.options, plan, instrument),
+            None => engine(tracker, self.options, plan, self.observer),
         }
     }
 }
@@ -719,7 +657,7 @@ mod tests {
     use super::*;
     use crate::scheduler::{MinGain, RoundRobin, SchedulerKind, UniformRandom};
     use goc_game::gen::{GameSpec, PowerDist, RewardDist};
-    use goc_game::{CoinId, Configuration, Game};
+    use goc_game::{CoinId, Configuration, Game, MinerId, Snapshot};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -1213,92 +1151,54 @@ mod tests {
         assert_eq!(warm.final_config, cold.final_config);
     }
 
-    #[test]
-    fn checkpoints_fire_and_resume_exactly() {
-        use goc_game::Delta;
-        let game = Game::build(&[4, 4, 2, 2, 1, 1], &[8, 4]).unwrap();
-        let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let plan = ChurnPlan::with_events(
+    /// Miner 5 departs after two steps and returns, placed by best
+    /// response, after four.
+    fn departure_and_return() -> ChurnPlan {
+        let miner = MinerId(5);
+        ChurnPlan::with_events(
             None,
             None,
             [
-                (
-                    2,
-                    Delta::RemoveMiner {
-                        miner: goc_game::MinerId(5),
-                    },
-                ),
-                (
-                    4,
-                    Delta::InsertMiner {
-                        miner: goc_game::MinerId(5),
-                        coin: None,
-                    },
-                ),
+                (2, Delta::RemoveMiner { miner }),
+                (4, Delta::InsertMiner { miner, coin: None }),
             ],
-        );
-        let mut checkpoints: Vec<(usize, Vec<u8>)> = Vec::new();
-        let mut sink = |steps: usize, snap: Snapshot| {
-            checkpoints.push((steps, snap.encode()));
-        };
-        let tracker = goc_game::MassTracker::new(&game, &start).unwrap();
-        let full = run_incremental_from(
-            tracker,
-            LearningOptions::default(),
-            &plan,
-            Some(CheckpointHook {
-                every: 1,
-                sink: &mut sink,
-            }),
         )
-        .unwrap();
+    }
+
+    #[test]
+    fn resume_from_a_mid_run_snapshot_matches_the_full_run() {
+        let game = Game::build(&[4, 4, 2, 2, 1, 1], &[8, 4]).unwrap();
+        let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
+        let plan = departure_and_return();
+        let full = Dynamics::new(&game)
+            .start(&start)
+            .churn(&plan)
+            .run()
+            .unwrap();
         assert!(full.converged);
-        assert_eq!(checkpoints.len(), full.steps, "one checkpoint per step");
-        // Resume from the first checkpoint: replay only the not-yet-due
-        // churn (every checkpoint step count keys the remaining stream)
-        // and land on the same equilibrium.
-        let (at, bytes) = checkpoints.first().unwrap();
+        // Take the run's first step by hand, capture the tracker there
+        // and round-trip it through the codec.
+        let mut tracker = goc_game::MassTracker::new(&game, &start).unwrap();
+        let mv = tracker
+            .find_improving_move()
+            .expect("the start is unstable");
+        tracker.apply(mv.miner, mv.to);
+        let bytes = Snapshot::of(&tracker).encode();
         let snap = Snapshot::try_from(bytes.as_slice()).unwrap();
-        let remaining = ChurnPlan {
-            miner_active: None,
-            coin_active: None,
-            events: plan
-                .events
-                .iter()
-                .filter(|e| e.at_step > *at)
-                .map(|e| ChurnEvent {
-                    at_step: e.at_step - at,
-                    delta: e.delta,
-                })
-                .collect(),
-        };
+        // Every delta falls after the first step; resume the rest of the
+        // stream one step earlier and land on the same equilibrium.
+        let remaining = ChurnPlan::with_events(
+            None,
+            None,
+            plan.events.iter().map(|e| (e.at_step - 1, e.delta)),
+        );
         let resumed =
             run_incremental_from(snap.fork(), LearningOptions::default(), &remaining, None)
                 .unwrap();
         assert!(resumed.converged);
         assert_eq!(resumed.final_config, full.final_config);
-        assert_eq!(resumed.steps + at, full.steps);
-
-        // A scheduled run checkpoints on the same cadence. Scheduler state
-        // is not in the snapshot, so resume is exact only without a
-        // scheduler; here only cadence and count are pinned.
-        let mut at_steps = Vec::new();
-        let mut sink = |steps: usize, _: Snapshot| at_steps.push(steps);
-        let mut hook = CheckpointHook {
-            every: 1,
-            sink: &mut sink,
-        };
-        let scheduled = Dynamics::new(&game)
-            .start(&start)
-            .scheduler(&mut RoundRobin::new())
-            .churn(&plan)
-            .instrument(&mut hook)
-            .run()
-            .unwrap();
-        assert!(scheduled.converged);
-        assert!(scheduled.steps >= 1);
-        let cadence: Vec<usize> = (1..=scheduled.steps).collect();
-        assert_eq!(at_steps, cadence, "one checkpoint per step");
+        assert_eq!(resumed.steps + 1, full.steps);
+        assert_eq!(resumed.churn_applied, full.churn_applied);
     }
 
     #[test]
@@ -1344,51 +1244,66 @@ mod tests {
         );
     }
 
-    #[test]
-    fn builder_rejects_a_foreign_snapshot() {
-        let game = Game::build(&[2, 1], &[1, 1]).unwrap();
-        let other = Game::build(&[3, 1], &[1, 1]).unwrap();
-        let start = Configuration::uniform(CoinId(0), other.system()).unwrap();
-        let tracker = goc_game::MassTracker::new(&other, &start).unwrap();
-        let snap = Snapshot::of(&tracker);
-        assert_eq!(
-            Dynamics::new(&game).from_snapshot(&snap).run().err(),
-            Some(LearningError::SnapshotMismatch)
-        );
-    }
-
-    #[test]
-    fn builder_snapshot_start_matches_the_cold_run() {
-        let game = Game::build(&[8, 5, 3, 2, 1, 1], &[7, 4, 2]).unwrap();
-        let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let cold = Dynamics::new(&game).start(&start).run().unwrap();
-        let tracker = goc_game::MassTracker::new(&game, &start).unwrap();
-        let snap = Snapshot::of(&tracker);
-        let warm = Dynamics::new(&game).from_snapshot(&snap).run().unwrap();
-        assert!(warm.converged);
-        assert_eq!(warm.steps, cold.steps);
-        assert_eq!(warm.final_config, cold.final_config);
+    /// Replays `path` from `start` on a fresh tracker, firing `plan`'s
+    /// deltas where the engine does (once their step count is reached,
+    /// or early when the population is stable), and returns the
+    /// configuration after each move.
+    fn replay(
+        game: &Game,
+        start: &Configuration,
+        plan: &ChurnPlan,
+        path: &[Move],
+    ) -> Vec<Configuration> {
+        let mut tracker = goc_game::MassTracker::new(game, start).unwrap();
+        let mut events = plan.events.iter().peekable();
+        let mut configs = Vec::new();
+        for (step, mv) in path.iter().enumerate() {
+            while let Some(event) = events.next_if(|e| e.at_step <= step || tracker.is_stable()) {
+                tracker.apply_delta(event.delta).unwrap();
+            }
+            tracker.apply(mv.miner, mv.to);
+            configs.push(tracker.config().clone());
+        }
+        configs
     }
 
     #[test]
     fn builder_observes_the_incremental_engine() {
-        // A step observer sees every move of the scheduler-free loop, in
-        // order.
-        let game = Game::build(&[8, 5, 3, 2, 1, 1], &[9, 6, 2]).unwrap();
+        // A step observer sees every move, in order, under both move
+        // finders, with and without churn; each configuration it is
+        // handed is the path replayed up to that move. The churn lands
+        // mid-run, and the returning miner is placed off its old coin.
+        let powers: Vec<u64> = (0..12).map(|i| [5u64, 3, 2, 1][i % 4]).collect();
+        let game = Game::build(&powers, &[12, 7, 4]).unwrap();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
-        let mut trace = Vec::new();
-        let mut observe = |_: &Configuration, mv: Move| trace.push(mv);
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .options(LearningOptions {
-                record_path: true,
-                ..LearningOptions::default()
-            })
-            .instrument(&mut observe)
-            .run()
-            .unwrap();
-        assert!(outcome.converged);
-        assert_eq!(trace, outcome.path);
+        let churn = departure_and_return();
+        let still = ChurnPlan::default();
+        for scheduled in [false, true] {
+            for plan in [&still, &churn] {
+                let mut rr = RoundRobin::new();
+                let mut seen = Vec::new();
+                let mut observe =
+                    |config: &Configuration, mv: Move| seen.push((config.clone(), mv));
+                let mut dynamics =
+                    Dynamics::new(&game)
+                        .start(&start)
+                        .churn(plan)
+                        .options(LearningOptions {
+                            record_path: true,
+                            ..LearningOptions::default()
+                        });
+                if scheduled {
+                    dynamics = dynamics.scheduler(&mut rr);
+                }
+                let outcome = dynamics.instrument(&mut observe).run().unwrap();
+                let case = format!("scheduled: {scheduled}, churn: {}", !plan.is_trivial());
+                assert!(outcome.converged, "{case}");
+                assert_eq!(outcome.churn_applied, plan.events.len(), "{case}");
+                let (configs, moves): (Vec<_>, Vec<_>) = seen.into_iter().unzip();
+                assert_eq!(moves, outcome.path, "{case}");
+                assert_eq!(configs, replay(&game, &start, plan, &moves), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -1,75 +1,26 @@
-//! [`Instrument`]: the one observation API of the learning engine.
+//! Watching a learning run, per step or per run.
 //!
-//! Watching a run means implementing one trait with default no-ops:
+//! Per-step watching is one closure: a [`StepObserver`] passed to
+//! [`Dynamics::instrument`] is called after every applied
+//! better-response move with the configuration after it. An unwatched
+//! run pays nothing for the seam beyond one branch per step.
 //!
-//! * [`Instrument::on_step`] — after every applied better-response
-//!   move, with the new configuration;
-//! * [`Instrument::on_delta`] — after every applied churn delta;
-//! * [`Instrument::on_checkpoint`] — every
-//!   [`Instrument::checkpoint_every`] steps, with a [`Snapshot`] of the
-//!   tracker.
-//!
-//! A blanket impl makes every `FnMut(&Configuration, Move)` closure an
-//! `Instrument`, so a step observer is just a closure passed to
-//! [`Dynamics::instrument`]; [`CheckpointHook`] implements the trait
-//! too.
-//!
-//! Production observability is not an instrument: [`DynamicsObserver`]
+//! Production observability is not per step: [`DynamicsObserver`]
 //! watches whole runs from an explicit [`Observe`] handle — one trace
 //! span and a handful of counter adds per run, nothing per step.
-//!
-//! [`CheckpointHook`]: crate::dynamics::CheckpointHook
 
 use std::time::Instant;
 
-use goc_game::{Configuration, Delta, Move, Snapshot};
+use goc_game::{Configuration, Move};
 use goc_telemetry::trace::{TraceEventKind, TraceLane};
 use goc_telemetry::{Counter, LatencyHistogram, Observe};
 
 use crate::dynamics::{Dynamics, LearningError, LearningOutcome};
 
-/// A watcher threaded through a learning run. All methods default to
-/// no-ops, so an instrument implements only what it cares about; the
-/// engine pays one virtual call per event either way.
-pub trait Instrument {
-    /// Called after every applied better-response move, with the
-    /// configuration *after* the move.
-    fn on_step(&mut self, config: &Configuration, mv: Move) {
-        let _ = (config, mv);
-    }
-
-    /// Called after every churn delta the engine applies, with the step
-    /// count at which it fired.
-    fn on_delta(&mut self, step: usize, delta: Delta) {
-        let _ = (step, delta);
-    }
-
-    /// Checkpoint cadence in steps; `0` (the default) disables
-    /// checkpointing, so the engine never pays for a [`Snapshot`] it
-    /// would not deliver.
-    fn checkpoint_every(&self) -> usize {
-        0
-    }
-
-    /// Called every [`Instrument::checkpoint_every`] steps with a
-    /// snapshot of the tracker.
-    fn on_checkpoint(&mut self, step: usize, snapshot: &Snapshot) {
-        let _ = (step, snapshot);
-    }
-}
-
-/// Every step-observer closure is an instrument.
-impl<F: FnMut(&Configuration, Move)> Instrument for F {
-    fn on_step(&mut self, config: &Configuration, mv: Move) {
-        self(config, mv)
-    }
-}
-
-/// The do-nothing instrument (what an unobserved run uses).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoInstrument;
-
-impl Instrument for NoInstrument {}
+/// A per-step watcher: called after every applied better-response move,
+/// with the configuration *after* the move. Any
+/// `FnMut(&Configuration, Move)` closure is one.
+pub type StepObserver<'a> = dyn FnMut(&Configuration, Move) + 'a;
 
 /// The `goc-telemetry` binding of the engine: observes whole runs, not
 /// steps. [`DynamicsObserver::run`] wraps one run in a
@@ -156,20 +107,6 @@ mod tests {
         let game = Game::build(&[8, 5, 3, 2, 1, 1], &[7, 4, 2]).unwrap();
         let start = Configuration::uniform(CoinId(0), game.system()).unwrap();
         (game, start)
-    }
-
-    #[test]
-    fn closures_are_instruments_via_the_blanket_impl() {
-        let (game, start) = toy();
-        let mut seen = 0usize;
-        let mut closure = |_: &Configuration, _: Move| seen += 1;
-        let outcome = Dynamics::new(&game)
-            .start(&start)
-            .instrument(&mut closure)
-            .run()
-            .unwrap();
-        assert!(outcome.converged);
-        assert_eq!(seen, outcome.steps);
     }
 
     fn observed(observe: &Observe, correlation: u64) -> LearningOutcome {

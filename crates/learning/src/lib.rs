@@ -8,8 +8,11 @@
 //! ordinal-potential monotonicity along the way.
 //!
 //! Every run is assembled by the [`Dynamics`] builder — the single entry
-//! point. [`run_with_churn`] and [`run_incremental_from`] are one-line
-//! builder calls kept for their narrow signatures.
+//! point. A run starts from a configuration ([`Dynamics::start`]) or a
+//! live tracker ([`Dynamics::from_tracker`], e.g. a snapshot fork), and
+//! one optional [`StepObserver`] closure watches its steps.
+//! [`run_with_churn`] and [`run_incremental_from`] are one-line builder
+//! calls kept for their narrow signatures.
 //!
 //! ```
 //! use goc_game::{CoinId, Configuration, Game};
@@ -38,10 +41,10 @@ pub mod simultaneous;
 pub mod stats;
 
 pub use dynamics::{
-    run_incremental_from, run_with_churn, CheckpointHook, ChurnEvent, ChurnPlan, Dynamics,
-    LearningError, LearningOptions, LearningOutcome,
+    run_incremental_from, run_with_churn, ChurnEvent, ChurnPlan, Dynamics, LearningError,
+    LearningOptions, LearningOutcome,
 };
-pub use instrument::{DynamicsObserver, Instrument, NoInstrument};
+pub use instrument::{DynamicsObserver, StepObserver};
 pub use scheduler::{
     LargestMinerFirst, MaxGain, MinGain, RoundRobin, Scheduler, SchedulerError, SchedulerKind,
     SmallestMinerFirst, UniformRandom,
